@@ -194,14 +194,15 @@ def _cmd_simulate(args) -> int:
         skip_empty=args.skip_empty,
         word_cap=_word_cap(),
     )
-    ranked = sorted(table.entries.items(), key=lambda item: (-item[1], item[0]))
+    # (-count, word) pairs: most frequent first, ties in lexicographic word order
+    ranked = sorted(zip([-c for c in table.entries.values()], table.entries))
     lines = [
         "# format: v1 word_count",
         f"# n_words={table.total_words} seed={seed} streams={args.streams}",
         "# columns: word\tcount",
     ]
     lines += [
-        f"{simulate.render_word(w, al.labels, EPS_TOKEN)}\t{c}" for w, c in ranked
+        f"{simulate.render_word(w, al.labels, EPS_TOKEN)}\t{-c}" for c, w in ranked
     ]
     _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -237,12 +238,10 @@ def _rank_freq_from_file(path: str, kind: str) -> simulate.RankFrequency:
     if kind == "ranks":
         pts = sorted((int(a), float(b)) for a, b in rows)
         return simulate.RankFrequency(tuple(pts))
-    counts = {w: int(c) for w, c in rows}
+    counts = {w: int(c) for w, c in rows}  # a repeated word: the last row wins
     total = sum(counts.values())
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return simulate.RankFrequency(
-        tuple((i + 1, c / total) for i, (_w, c) in enumerate(ranked))
-    )
+    ranked = sorted(counts.values(), reverse=True)
+    return simulate.RankFrequency(tuple((i + 1, c / total) for i, c in enumerate(ranked)))
 
 
 def _fit_from_args(args) -> tuple[fit_mod.FitResult, simulate.RankFrequency]:
@@ -310,13 +309,13 @@ def _cmd_ingest(args) -> int:
     if not counts:
         raise ValueError(f"no words found in {args.corpus}")
     total = sum(counts.values())
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(counts.values(), reverse=True)
     lines = [
         "# format: v1 rank_freq",
         f"# source={args.corpus} words={total} distinct={len(counts)}",
         "# columns: rank\tfreq",
     ]
-    lines += [f"{i + 1}\t{c / total!r}" for i, (_w, c) in enumerate(ranked)]
+    lines += [f"{i + 1}\t{c / total!r}" for i, c in enumerate(ranked)]
     _write_output(args, "\n".join(lines) + "\n")
     if args.alphabet_out:
         al = alphabet_mod.estimate_from_corpus(

@@ -260,20 +260,20 @@ def rank_of_probability(
 
     Equals the counting function at x = ln(p0 / f) on the raw weights.
     Only defined for 0 < f <= p0: the empty word, at rank 1, is the most
-    probable word, with probability p0.
+    probable word, with probability p0.  An f above p0 by no more than the
+    tie tolerance in log space is p0 up to rounding.
     """
     p0 = alphabet.space_prob
     if p0 <= 0.0:
         raise ValueError("rank queries need a positive space probability")
     if not f > 0.0:
         raise ValueError(f"probability threshold must be positive, got {f}")
-    if f > p0:
+    x = math.log(p0) - math.log(f)
+    if x < -TIE_EPS:
         raise ValueError(
             f"no word has probability {f} > p0 = {p0}; the empty word is the maximum"
         )
-    x = math.log(p0) - math.log(f)
-    if x < 0.0:  # f == p0 up to rounding
-        x = 0.0
+    x = max(x, 0.0)  # f == p0 up to rounding
     return q_tilde_recursive(log_weights(alphabet), x, node_budget=node_budget)
 
 

@@ -12,6 +12,13 @@ Generation is vectorized with numpy and driven by PCG64; a fixed
 within one build.  Multiple streams partition the word count across
 generators spawned from one SeedSequence, so partial tables merge by plain
 count addition.
+
+Each stream draws all word lengths, then all letters in one call.  Counting
+groups the words by length with one sort.  A length-m word over n letters
+whose base-n code fits in int64 (n**m <= 2**63) is counted as that code,
+and only the distinct codes are decoded back to letter tuples; longer words
+fall back to counting unique letter rows.  The RNG stream, and hence the
+table, does not depend on how the words are counted.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alphabet import Alphabet
+from .errors import ResourceGuardError
 
 Word = tuple[int, ...]
 
@@ -65,28 +73,38 @@ class RankFrequency:
         return iter(self.points)
 
 
-def _generate_stream(alphabet: Alphabet, count: int, rng: np.random.Generator) -> dict[Word, int]:
+def _generate_stream(
+    alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int
+) -> dict[Word, int]:
     p0 = alphabet.space_prob
     n = alphabet.n
     lengths = rng.geometric(p0, size=count) - 1  # letters before the space
+    n_letters = int(lengths.sum(dtype=object))  # Python ints: no overflow for a tiny p0
+    if n_letters > word_cap:
+        raise ResourceGuardError(
+            f"{n_letters} letters to draw exceed the cap {word_cap}; "
+            "raise ZIPFMONKEY_WORD_CAP to allow more"
+        )
     letter_probs = np.asarray(alphabet.letter_probs) / (1.0 - p0)
-    letters = rng.choice(n, size=int(lengths.sum()), p=letter_probs)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    letters = rng.choice(n, size=n_letters, p=letter_probs)
+    starts = np.cumsum(lengths) - lengths
 
     counts: dict[Word, int] = {}
-    n_empty = int((lengths == 0).sum())
-    if n_empty:
-        counts[()] = n_empty
-    for m in np.unique(lengths):
-        m = int(m)
-        if m == 0:
-            continue
-        sel = np.nonzero(lengths == m)[0]
-        rows = letters[starts[sel][:, None] + np.arange(m)]
-        uniq, cnt = np.unique(rows, axis=0, return_counts=True)
-        for row, c in zip(uniq, cnt):
-            word = tuple(int(v) for v in row)
-            counts[word] = counts.get(word, 0) + int(c)
+    order = np.argsort(lengths, kind="stable")
+    for sel in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        m = int(lengths[sel[0]])
+        first = starts[sel]
+        # codes stay below n**m <= 2**63; m < 64 is implied (n >= 2) and skips a huge n**m
+        if m < 64 and n**m <= 2**63:
+            codes = np.zeros(len(sel), dtype=np.int64)
+            for j in range(m):
+                codes = codes * n + letters[first + j]
+            uniq, cnt = np.unique(codes, return_counts=True)
+            rows = uniq[:, None] // np.power(n, np.arange(m - 1, -1, -1)) % n
+        else:
+            rows = letters[first[:, None] + np.arange(m)]
+            rows, cnt = np.unique(rows, axis=0, return_counts=True)
+        counts.update(zip(map(tuple, rows.tolist()), cnt.tolist()))
     return counts
 
 
@@ -132,7 +150,8 @@ def generate_words(
     for i, child in enumerate(children):
         cnt = base + (1 if i < extra else 0)
         if cnt:
-            part = _generate_stream(alphabet, cnt, np.random.Generator(np.random.PCG64(child)))
+            rng = np.random.Generator(np.random.PCG64(child))
+            part = _generate_stream(alphabet, cnt, rng, word_cap)
             parts.append(FrequencyTable(part, cnt))
     table = merge_tables(parts)
     if skip_empty and () in table.entries:
@@ -142,14 +161,15 @@ def generate_words(
 
 
 def empirical_rank_freq(table: FrequencyTable) -> RankFrequency:
-    """Rank the observed words by count, lexicographic tiebreak, freq = count/total."""
+    """Rank the observed words by count, freq = count/total.
+
+    Tied words share a frequency, so the points do not depend on their order.
+    """
     if not table.entries:
         raise ValueError("empty frequency table")
-    ranked = sorted(table.entries.items(), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(table.entries.values(), reverse=True)
     total = table.total_words
-    return RankFrequency(
-        tuple((i + 1, c / total) for i, (_w, c) in enumerate(ranked))
-    )
+    return RankFrequency(tuple((i + 1, c / total) for i, c in enumerate(ranked)))
 
 
 def render_word(word: Sequence[int], labels: Sequence[str], empty_token: str = "<EPS>") -> str:

@@ -269,6 +269,17 @@ class TestExitCodes:
         )
         assert code == 2  # cap raises ValueError -> validation
 
+    def test_word_cap_bounds_letters(self, capsys, monkeypatch):
+        # 1000 words at p0 = 1e-6 need about 10**9 letters
+        monkeypatch.setenv("ZIPFMONKEY_WORD_CAP", str(10**6))
+        code, _, err = run(
+            capsys, "simulate", "--uniform", "2", "--p0", "1e-6",
+            "--n-words", "1000", "--seed", "1",
+        )
+        assert code == 3
+        assert "ZIPFMONKEY_WORD_CAP" in err
+        assert "Traceback" not in err
+
 
 class TestOutputFiles:
     def test_out_flag_writes_file(self, capsys, tmp_path):

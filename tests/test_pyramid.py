@@ -14,6 +14,7 @@ from zipfmonkey import (
     iter_compositions,
     log_weights,
     make_explicit,
+    make_gusein_zade,
     make_uniform,
     multinomial,
     p_of_rank,
@@ -114,6 +115,15 @@ class TestRankOfProbability:
     def test_empty_word_anchor(self):
         al = make_explicit((0.6, 0.2), 0.2)
         assert rank_of_probability(al, 0.2) == 1
+
+    @pytest.mark.parametrize(
+        "al",
+        [make_gusein_zade(5, 0.18), make_gusein_zade(26, 0.18), make_uniform(26, 0.037037)],
+    )
+    def test_empty_word_anchor_after_rounding(self, al):
+        # exp(log(p0)) rounds above p0 for these alphabets
+        levels = enumerate_levels(al, max_rank=1)
+        assert rank_of_probability(al, math.exp(levels[0].log_prob)) == 1
 
     def test_top_letter_anchor(self):
         al = make_explicit((0.6, 0.2), 0.2)

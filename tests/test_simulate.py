@@ -1,7 +1,10 @@
 """Monte Carlo word generation and empirical rank-frequency tables."""
 
+import hashlib
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from zipfmonkey import (
@@ -9,11 +12,15 @@ from zipfmonkey import (
     RankFrequency,
     empirical_rank_freq,
     enumerate_levels,
+    estimate_from_corpus,
     generate_words,
     make_explicit,
+    make_gusein_zade,
     make_uniform,
     merge_tables,
 )
+from zipfmonkey.cli import main
+from zipfmonkey.simulate import _generate_stream
 
 N_WORDS = 100_000
 SEED = 20260808
@@ -81,6 +88,59 @@ class TestGenerateWords:
             generate_words(make_uniform(2, 0.3), 100, seed=1, streams=0)
         with pytest.raises(ValueError):
             generate_words(make_uniform(2, 0.3), 10**9 + 1, seed=1, word_cap=10**9)
+
+
+def _corpus_alphabet():
+    # 300 CJK letters: more than fit in one byte
+    letters = [chr(0x4E00 + i) for i in range(300)]
+    words = ("".join(letters[(7 * i + j) % 300] for j in range(1 + i % 9)) for i in range(3000))
+    alphabet = estimate_from_corpus(" ".join(words))
+    assert alphabet.n == 300
+    return alphabet
+
+
+def _reference_counts(alphabet, count, seed):
+    """The same RNG calls as the simulator, counted word by word."""
+    rng = np.random.default_rng(seed)
+    p0 = alphabet.space_prob
+    lengths = (rng.geometric(p0, size=count) - 1).tolist()
+    letter_probs = np.asarray(alphabet.letter_probs) / (1.0 - p0)
+    letters = rng.choice(alphabet.n, size=sum(lengths), p=letter_probs).tolist()
+    counts = Counter()
+    start = 0
+    for m in lengths:
+        counts[tuple(letters[start:start + m])] += 1
+        start += m
+    return counts
+
+
+class TestCounting:
+    @pytest.mark.parametrize(
+        "alphabet, count",
+        [
+            (make_gusein_zade(5, 0.18), 50_000),  # nearly every word fits a code
+            (make_uniform(2, 0.02), 5_000),  # many words past 63 letters
+            (_corpus_alphabet(), 20_000),  # codes up to 7 letters, rows beyond
+        ],
+    )
+    def test_matches_word_by_word_count(self, alphabet, count):
+        got = _generate_stream(alphabet, count, np.random.default_rng(11), 10**8)
+        assert got == _reference_counts(alphabet, count, 11)
+
+    @pytest.mark.parametrize(
+        "streams, digest",
+        [
+            ("1", "4344af5887bb38e9325f3b14a1b585d626595ec61b511cb99c1f33e0cdbd714d"),
+            ("3", "92b66b32fe26f1f51daf4e5c69c8b8d7b4a67807fe338de8849ac2aedcc8a893"),
+        ],
+    )
+    def test_cli_output_pinned(self, capsys, streams, digest):
+        code = main([
+            "simulate", "--gusein-zade", "5", "--p0", "0.18", "--n-words", "20000",
+            "--seed", "7", "--streams", streams,
+        ])
+        assert code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestMergeTables:

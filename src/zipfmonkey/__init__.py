@@ -26,12 +26,10 @@ from .gamma import GammaSolution, WeightVector, log_weights, rescale_weights, so
 from .oracle import WordRecord, enumerate_all, oracle_rank_of_probability
 from .pyramid import (
     BoundCertificate,
-    Composition,
     Level,
     LevelTable,
     enumerate_levels,
     functional_equation_residual,
-    iter_compositions,
     multinomial,
     p_of_rank,
     q_tilde_direct,
@@ -55,7 +53,6 @@ __all__ = [
     "BoundCertificate",
     "BoundViolationError",
     "ComparisonReport",
-    "Composition",
     "FitResult",
     "FrequencyTable",
     "GammaSolution",
@@ -72,7 +69,6 @@ __all__ = [
     "estimate_from_corpus",
     "functional_equation_residual",
     "generate_words",
-    "iter_compositions",
     "log_weights",
     "make_explicit",
     "make_gusein_zade",

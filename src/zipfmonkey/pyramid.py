@@ -10,8 +10,11 @@ hence one probability p0 * exp(-w(k)).  The counting function
 is evaluated here three independent ways: by nested iteration over the
 admissible lattice region (q_tilde_direct), by memoized recursion on the
 functional equation Q(x) = Q(x - L_1) + ... + Q(x - L_n) + step(x)
-(q_tilde_recursive), and by best-first composition enumeration
-(enumerate_levels and friends).
+(q_tilde_recursive), and by one best-first level generator behind
+enumerate_levels and weight_events.  The generator walks the compositions
+as nondecreasing letter sequences with two successors per node (append the
+last letter, or bump it to the next one), the sorted-sums frontier of
+Frederickson and Johnson, so its heap holds at most one node per pop.
 
 All weight comparisons run in exact integer arithmetic.  Every float is a
 dyadic rational, so weights and thresholds mapped onto a common
@@ -22,7 +25,9 @@ Counts are Python ints throughout: the counting function grows like
 exp(gamma * x) and leaves 64-bit range almost immediately.
 
 A node budget (default 10**7 lattice points) guards every enumeration;
-exceeding it raises ResourceGuardError.
+exceeding it raises ResourceGuardError.  The level generator counts the
+lattice points popped through the level it is building, so every level
+it yields is complete.
 """
 
 from __future__ import annotations
@@ -41,15 +46,6 @@ TIE_EPS = 1e-9  # absolute tie tolerance for weights, in nats
 DEFAULT_NODE_BUDGET = 10**7
 
 _TIE_EPS_FRACTION = Fraction(TIE_EPS)
-
-
-@dataclass(frozen=True)
-class Composition:
-    """One lattice point: letter multiplicities, weight, exact word count."""
-
-    k: tuple[int, ...]
-    weight: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -144,49 +140,51 @@ def _threshold(x) -> Fraction:
     return Fraction(x) + _TIE_EPS_FRACTION
 
 
+def _over_budget(budget: int, weight: float) -> ResourceGuardError:
+    return ResourceGuardError(
+        f"node budget {budget} exhausted at weight {weight:.6g}; "
+        "raise ZIPFMONKEY_NODE_BUDGET to allow more"
+    )
+
+
 # --- evaluators --------------------------------------------------------------
 
 
-def _region_sum(W: list[int], T: int, budget: int) -> int:
+def _region_sum(W: list[int], T: int, budget: int, denom: int) -> int:
     """Sum of multinomial(k) over the region sum(k_i * W_i) <= T.
 
-    Nested iteration letter by letter; the innermost dimension is collapsed
+    Nested iteration letter by letter on an explicit stack, so the depth is
+    not bound by the recursion limit; the innermost dimension is collapsed
     with the hockey-stick identity sum_{j<=m} C(t+j, j) = C(t+m+1, m), so
     each leaf costs a single binomial.
     """
     if T < 0:
         return 0
-    n = len(W)
+    last = len(W) - 1
     nodes = 0
     total = 0
-
-    def walk(i: int, rem: int, letters: int, coeff: int) -> None:
-        nonlocal nodes, total
-        if i == n - 1:
+    stack = [(0, T, 0, 1)]  # (letter, remaining weight, letters so far, coefficient)
+    while stack:
+        i, rem, letters, coeff = stack.pop()
+        if i == last:
             m = rem // W[i]
             nodes += m + 1
             if nodes > budget:
-                raise ResourceGuardError(
-                    f"lattice region exceeds node budget {budget}"
-                )
+                raise _over_budget(budget, T / denom)
             total += coeff * math.comb(letters + m + 1, m)
-            return
+            continue
         k = 0
-        c = coeff
-        r = rem
         while True:
-            walk(i + 1, r, letters + k, c)
-            r -= W[i]
-            if r < 0:
-                return
+            stack.append((i + 1, rem, letters + k, coeff))
+            rem -= W[i]
+            if rem < 0:
+                break
             k += 1
-            c = c * (letters + k) // k  # C(letters+k, k) from its predecessor
-
-    walk(0, T, 0, 1)
+            coeff = coeff * (letters + k) // k  # C(letters+k, k) from its predecessor
     return total
 
 
-def _memo_sum(W: list[int], T: int, budget: int) -> int:
+def _memo_sum(W: list[int], T: int, budget: int, denom: int) -> int:
     """Same region count via the functional equation, memoized.
 
     The value at remaining budget T - w depends on w alone, so the memo is
@@ -209,7 +207,7 @@ def _memo_sum(W: list[int], T: int, budget: int) -> int:
         memo[w] = 1 + sum(memo[w + wi] for wi in W if w + wi <= T)
         stack.pop()
         if len(memo) > budget:
-            raise ResourceGuardError(f"memo table exceeds node budget {budget}")
+            raise _over_budget(budget, T / denom)
     return memo[0]
 
 
@@ -223,8 +221,8 @@ def q_tilde_direct(
     """
     if x < 0:
         return 0
-    W, (T,), _ = _scaled(weights.weights, [_threshold(x)])
-    return _region_sum(W, T, node_budget)
+    W, (T,), denom = _scaled(weights.weights, [_threshold(x)])
+    return _region_sum(W, T, node_budget, denom)
 
 
 def q_tilde_recursive(
@@ -233,8 +231,8 @@ def q_tilde_recursive(
     """Same value as q_tilde_direct, via the memoized functional equation."""
     if x < 0:
         return 0
-    W, (T,), _ = _scaled(weights.weights, [_threshold(x)])
-    return _memo_sum(W, T, node_budget)
+    W, (T,), denom = _scaled(weights.weights, [_threshold(x)])
+    return _memo_sum(W, T, node_budget, denom)
 
 
 def functional_equation_residual(
@@ -246,9 +244,9 @@ def functional_equation_residual(
     the step term uses the same tie tolerance as the counting function, so
     the identity is checked without any rounding slack.
     """
-    W, (T,), _ = _scaled(weights.weights, [_threshold(x)])
-    lhs = _region_sum(W, T, node_budget)
-    shifted = sum(_region_sum(W, T - wi, node_budget) for wi in W)
+    W, (T,), denom = _scaled(weights.weights, [_threshold(x)])
+    lhs = _region_sum(W, T, node_budget, denom)
+    shifted = sum(_region_sum(W, T - wi, node_budget, denom) for wi in W)
     step = 1 if T >= 0 else 0
     return lhs - shifted - step
 
@@ -280,52 +278,57 @@ def rank_of_probability(
 # --- best-first enumeration --------------------------------------------------
 
 
-def _first_nonzero(k: tuple[int, ...]) -> int:
-    for i, ki in enumerate(k):
-        if ki:
-            return i
-    return len(k) - 1  # k == 0: children in every coordinate
+def _iter_levels(
+    W: list[int], T: int | None, tie: int, budget: int, denom: int
+) -> Iterator[tuple[float, int]]:
+    """Yield (weight, word_count) per level of the word list, by weight.
 
+    A level is complete when yielded: it opens at a lattice point of scaled
+    weight w0 and closes at the first popped point heavier than w0 + tie,
+    or when the lattice up to T runs out.  With T None the lattice is
+    unbounded and the caller must stop consuming.  Weights are yielded
+    divided by denom.
 
-def _iter_scaled(
-    W: list[int], T: int | None, budget: int
-) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """Yield (scaled_weight, k, multinomial(k)) in nondecreasing weight order.
-
-    Best-first on a heap; each composition is generated exactly once via the
-    unique-parent rule (children are k + e_i for i up to the first nonzero
-    coordinate, every i for k = 0).  With T None the lattice is unbounded
-    and the caller must stop consuming.
+    A composition is walked as its nondecreasing letter sequence over the
+    letters sorted by weight.  A node (w, words, j, m_j, length) ends in
+    m_j copies of letter j and has two children: append j, and (if m_j > 0)
+    bump the last j to j+1.  Every composition has one parent and weights
+    never decrease along an edge, so the heap holds at most pops + 1 nodes.
+    ResourceGuardError is raised once more than budget lattice points have
+    been popped through the open level; the levels before it are yielded.
     """
     n = len(W)
-    heap: list[tuple[int, tuple[int, ...]]] = [(0, (0,) * n)]
-    pushes = 1
-    while heap:
-        w, k = heapq.heappop(heap)
-        yield w, k, multinomial(k)
-        for i in range(_first_nonzero(k) + 1):
-            cw = w + W[i]
-            if T is None or cw <= T:
-                pushes += 1
-                if pushes > budget:
-                    raise ResourceGuardError(
-                        f"composition frontier exceeds node budget {budget}"
-                    )
-                heapq.heappush(heap, (cw, k[:i] + (k[i] + 1,) + k[i + 1 :]))
-
-
-def iter_compositions(
-    weights: WeightVector,
-    max_weight: float,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Iterator[Composition]:
-    """All compositions with weight <= max_weight, best-first by weight."""
-    if max_weight < 0:
+    if all(w == W[0] for w in W):
+        # equal weights: level m holds n**m words at m * W[0], and the
+        # lattice through it has comb(m + n, n) points
+        m = 0
+        while T is None or m * W[0] <= T:
+            if math.comb(m + n, n) > budget:
+                raise _over_budget(budget, m * W[0] / denom)
+            yield m * W[0] / denom, n**m
+            m += 1
         return
-    W, (T,), denom = _scaled(weights.weights, [_threshold(max_weight)])
-    for w, k, count in _iter_scaled(W, T, node_budget):
-        yield Composition(k, w / denom, count)
+    W = sorted(W)
+    heap = [(0, 1, 0, 0, 0)]
+    pops = 0
+    start = count = 0
+    while heap:
+        w, words, j, m, length = heapq.heappop(heap)
+        if w - start > tie:
+            yield start / denom, count
+            start, count = w, 0
+        count += words
+        pops += 1
+        if pops > budget:
+            raise _over_budget(budget, w / denom)
+        child = (w + W[j], words * (length + 1) // (m + 1), j, m + 1, length + 1)
+        if T is None or child[0] <= T:
+            heapq.heappush(heap, child)
+        if m and j + 1 < n:
+            child = (w - W[j] + W[j + 1], words * m, j + 1, 1, length)
+            if T is None or child[0] <= T:
+                heapq.heappush(heap, child)
+    yield start / denom, count
 
 
 def enumerate_levels(
@@ -355,68 +358,24 @@ def enumerate_levels(
         raise ValueError("levels need a positive space probability")
     log_p0 = math.log(p0)
 
-    wv = log_weights(alphabet)
     thresholds = [_TIE_EPS_FRACTION]
     if max_weight is not None:
         thresholds.append(_threshold(max_weight))
-    W, scaled, denom = _scaled(wv.weights, thresholds)
-    tie_window = scaled[0]
+    W, scaled, denom = _scaled(log_weights(alphabet).weights, thresholds)
+    tie = scaled[0]
     T = scaled[1] if max_weight is not None else None
 
-    if all(w == W[0] for w in W):
-        # equal weights: level m holds exactly n**m words at weight m * L,
-        # so the table comes out in closed form with exact integer indices
-        n = len(W)
-        levels = []
-        rank_lo = 1
-        m = 0
-        while True:
-            if T is not None and m * W[0] > T:
-                break
-            if math.comb(m + n, n) > node_budget:  # lattice points through level m
-                return LevelTable(tuple(levels), True)
-            count = n**m
-            weight = m * W[0] / denom
-            levels.append(
-                Level(weight, count, rank_lo, rank_lo + count - 1, log_p0 - weight)
-            )
-            rank_lo += count
-            if max_rank is not None and rank_lo > max_rank:
-                break
-            m += 1
-        return LevelTable(tuple(levels), False)
-
     levels: list[Level] = []
-    next_rank = 1
-    start_w: int | None = None  # scaled weight opening the current level
-    count = 0
-    truncated = False
-
-    def close() -> None:
-        nonlocal next_rank, start_w, count
-        if start_w is None:
-            return
-        weight = start_w / denom
-        levels.append(
-            Level(weight, count, next_rank, next_rank + count - 1, log_p0 - weight)
-        )
-        next_rank += count
-        start_w = None
-        count = 0
-
+    rank = 1
     try:
-        for w, _k, c in _iter_scaled(W, T, node_budget):
-            if start_w is not None and w - start_w > tie_window:
-                close()
-                if max_rank is not None and next_rank > max_rank:
-                    return LevelTable(tuple(levels), False)
-            if start_w is None:
-                start_w = w
-            count += c
-        close()  # max_weight mode: the queue drained, last level is complete
+        for weight, count in _iter_levels(W, T, tie, node_budget, denom):
+            levels.append(Level(weight, count, rank, rank + count - 1, log_p0 - weight))
+            rank += count
+            if max_rank is not None and rank > max_rank:
+                break
     except ResourceGuardError:
-        truncated = True  # drop the partial level
-    return LevelTable(tuple(levels), truncated)
+        return LevelTable(tuple(levels), True)  # the partial level was never yielded
+    return LevelTable(tuple(levels), False)
 
 
 def p_of_rank(levels: LevelTable | Sequence[Level], r: int) -> float:
@@ -452,32 +411,11 @@ def weight_events(
     if x_max < 0:
         return []
     W, (T,), denom = _scaled(weights.weights, [Fraction(x_max)])
-    n = len(W)
-    if all(w == W[0] for w in W):
-        # equal weights: the counting function jumps at m * L by n**m
-        events = []
-        cum = 0
-        m = 0
-        while m * W[0] <= T:
-            if math.comb(m + n, n) > node_budget:
-                raise ResourceGuardError(
-                    f"lattice region exceeds node budget {node_budget}"
-                )
-            cum += n**m
-            events.append((m * W[0] / denom, cum))
-            m += 1
-        return events
     events: list[tuple[float, int]] = []
     cum = 0
-    cur_w: int | None = None
-    for w, _k, c in _iter_scaled(W, T, node_budget):
-        if w != cur_w:
-            if cur_w is not None:
-                events.append((cur_w / denom, cum))
-            cur_w = w
-        cum += c
-    if cur_w is not None:
-        events.append((cur_w / denom, cum))
+    for weight, count in _iter_levels(W, T, 0, node_budget, denom):
+        cum += count
+        events.append((weight, cum))
     return events
 
 

@@ -1,6 +1,8 @@
 """CLI subcommands, file round trips, exit codes."""
 
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -22,6 +24,20 @@ def kv(text):
             key, _, value = line.partition("=")
             pairs[key] = value
     return pairs
+
+
+def data_digest(text):
+    """sha256 of the output's data rows, '#' comment lines excluded."""
+    rows = "".join(line + "\n" for line in text.splitlines() if not line.startswith("#"))
+    return hashlib.sha256(rows.encode()).hexdigest()
+
+
+def seeded_corpus(seed, chars, letters):
+    """Text over `letters` CJK ideographs with Zipf letter frequencies."""
+    rng = random.Random(seed)
+    symbols = [chr(0x4E00 + i) for i in range(letters)]
+    weights = [1.0 / (i + 1) for i in range(letters)]
+    return "".join(rng.choices(symbols + [" "], weights + [0.3], k=chars))
 
 
 def tsv_rows(text):
@@ -257,6 +273,16 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_node_budget_names_its_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", "50")
+        code, _, err = run(
+            capsys, "qfun", "--gusein-zade", "3", "--p0", "0.2", "--x-max", "30"
+        )
+        assert code == 3
+        assert "budget 50" in err
+        assert "ZIPFMONKEY_NODE_BUDGET" in err
+        assert "Traceback" not in err
+
     def test_io_error(self, capsys):
         code, _, err = run(capsys, "gamma", "--alphabet", "/nonexistent/alpha.tsv")
         assert code == 4
@@ -301,3 +327,63 @@ class TestOutputFiles:
         ):
             _code, out, _ = run(capsys, *args)
             assert out.startswith("# format: v1 "), args[0]
+
+
+class TestExactOutputsPinned:
+    """Data rows of the exact commands, digests taken before the level
+    generator was rewritten."""
+
+    @pytest.mark.parametrize(
+        "argv, budget, digest",
+        [
+            (
+                ("levels", "--gusein-zade", "26", "--p0", "0.18", "--max-rank", "20000"),
+                None,
+                "4fb10cae51360341e7286beb5a43621645bdc3c42e91b73aa53bfb08b0582847",
+            ),
+            (
+                ("qfun", "--gusein-zade", "5", "--p0", "0.18", "--x-max", "20"),
+                None,
+                "7d9530def65c756bc54a0b9761ea6a6f66459b1238720a012792d8ce9a7708a7",
+            ),
+            (
+                ("certify", "--gusein-zade", "5", "--p0", "0.18", "--x-max", "20"),
+                None,
+                "83e7b73a67089d029d4a8d87c2892826905d418ea0aaad4eda91661394906974",
+            ),
+            (
+                ("levels", "--uniform", "3", "--p0", "0.1", "--max-rank", "1000000"),
+                "500",
+                "2d00920e1fb41631351829616b18e2068cd5ac0ca5a9db1b42373428c9b8aa50",
+            ),
+        ],
+        ids=["levels-gz26", "qfun-gz5", "certify-gz5", "levels-u3-budget500"],
+    )
+    def test_digest(self, capsys, monkeypatch, argv, budget, digest):
+        if budget is not None:
+            monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", budget)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert data_digest(out) == digest
+        assert ("# truncated" in out) == (budget is not None)
+
+    def test_corpus_levels_digest(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(seeded_corpus(40, 20000, 40), encoding="utf-8")
+        code, out, _ = run(capsys, "levels", "--corpus", str(corpus), "--max-rank", "20000")
+        assert code == 0
+        assert data_digest(out) == (
+            "6703fa0f80465c7e88fa95624d7ba716bfcc8e97e4a9923e3c6ab0c4a927c71a"
+        )
+
+    def test_wide_alphabet_levels(self, capsys, monkeypatch, tmp_path):
+        # 1,500 letters once exhausted memory; now well inside a small budget
+        h = math.fsum(1.0 / (i + 1) for i in range(1500))
+        al = make_explicit([0.82 / ((i + 1) * h) for i in range(1500)], 0.18)
+        path = tmp_path / "wide.tsv"
+        path.write_text(am.to_text(al))
+        monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", "100000")
+        code, out, err = run(capsys, "levels", "--alphabet", str(path), "--max-rank", "2000")
+        assert code == 0, err
+        assert "# truncated" not in out
+        assert int(tsv_rows(out)[-1][1]) >= 2000

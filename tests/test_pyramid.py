@@ -1,7 +1,9 @@
 """Lattice counting, levels, and the envelope certificate."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -11,7 +13,6 @@ from conftest import make_random_alphabet
 from zipfmonkey import (
     enumerate_levels,
     functional_equation_residual,
-    iter_compositions,
     log_weights,
     make_explicit,
     make_gusein_zade,
@@ -28,6 +29,7 @@ from zipfmonkey import (
 )
 from zipfmonkey.errors import BoundViolationError, ResourceGuardError
 from zipfmonkey.gamma import WeightVector
+from zipfmonkey.pyramid import TIE_EPS
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -102,6 +104,14 @@ class TestQTilde:
             wv = log_weights(al)
             a, b = sorted((rng.uniform(0, 8), rng.uniform(0, 8)))
             assert q_tilde_direct(wv, a) <= q_tilde_direct(wv, b)
+
+    def test_wide_alphabet_no_recursion_limit(self):
+        # one stack frame per letter used to overflow at 1,500 letters
+        h = math.fsum(1.0 / (i + 1) for i in range(1500))
+        wv = log_weights(make_explicit([0.82 / ((i + 1) * h) for i in range(1500)], 0.18))
+        x = 7.0
+        assert q_tilde_direct(wv, x) == q_tilde_recursive(wv, x) > 100
+        assert functional_equation_residual(wv, x) == 0
 
     def test_node_budget_guard(self):
         wv = log_weights(make_uniform(3, 0.1))
@@ -253,25 +263,112 @@ class TestFunctionalEquation:
                 assert functional_equation_residual(wv, x) == 0
 
 
-class TestIterCompositions:
-    def test_unique_generation_and_order(self):
-        wv = log_weights(make_explicit((0.5, 0.3), 0.2))
-        comps = list(iter_compositions(wv, 5.0))
-        seen = {c.k for c in comps}
-        assert len(seen) == len(comps)
-        weights = [c.weight for c in comps]
-        assert weights == sorted(weights)
-        assert comps[0].k == (0, 0) and comps[0].count == 1
+def product_levels(wv, bound, tie):
+    """Brute-force levels of all compositions with exact weight <= bound.
 
-    def test_counts_are_multinomials(self):
-        wv = log_weights(make_explicit((0.5, 0.3), 0.2))
-        for c in iter_compositions(wv, 4.0):
-            assert c.count == multinomial(c.k)
+    Compositions come from itertools.product, weights are exact Fractions,
+    and a level opens at a weight w0 and takes every weight up to w0 + tie.
+    Returns (w0, words, lattice points) per level, ascending.
+    """
+    L = [Fraction(w) for w in wv.weights]
+    top = int(bound / min(L)) + 1
+    groups: dict[Fraction, list[int]] = {}
+    for k in itertools.product(range(top), repeat=len(L)):
+        w = sum(ki * li for ki, li in zip(k, L))
+        if w <= bound:
+            g = groups.setdefault(w, [0, 0])
+            g[0] += multinomial(k)
+            g[1] += 1
+    levels = []
+    for w, (words, points) in sorted(groups.items()):
+        if levels and w - levels[-1][0] <= tie:
+            levels[-1][1] += words
+            levels[-1][2] += points
+        else:
+            levels.append([w, words, points])
+    return [tuple(lv) for lv in levels]
 
-    def test_covers_the_region(self):
-        wv = log_weights(make_uniform(2, 1 / 3))
-        total = sum(c.count for c in iter_compositions(wv, 6.0))
-        assert total == q_tilde_direct(wv, 6.0)
+
+# untied, exactly tied (0.25 = 0.5**2; two equal letters), and tied within
+# TIE_EPS only (0.16 * (1 + 1e-12) against 0.4**2), where levels merge what
+# the counting function's jumps keep apart
+GENERATOR_ALPHABETS = [
+    make_explicit((0.5, 0.3), 0.2),
+    make_explicit((0.45, 0.25, 0.12), 0.18),
+    make_explicit((0.5, 0.25), 0.25),
+    make_explicit((0.4, 0.2, 0.2), 0.2),
+    make_explicit((0.4, 0.16 * (1 + 1e-12)), 0.44 - 0.16e-12),
+]
+GENERATOR_IDS = ["untied2", "untied3", "tied2", "tied3", "near-tie2"]
+
+
+class TestLevelGenerator:
+    @pytest.mark.parametrize("al", GENERATOR_ALPHABETS, ids=GENERATOR_IDS)
+    def test_weight_events_match_product_groups(self, al):
+        wv = log_weights(al)
+        x = 8.0
+        expected = []
+        cum = 0
+        for w, words, _points in product_levels(wv, Fraction(x), 0):
+            cum += words
+            expected.append((float(w), cum))
+        assert weight_events(wv, x) == expected
+
+    @pytest.mark.parametrize("al", GENERATOR_ALPHABETS, ids=GENERATOR_IDS)
+    def test_levels_match_product_groups_within_tie(self, al):
+        wv = log_weights(al)
+        x = 8.0
+        tie = Fraction(TIE_EPS)
+        expected = [(float(w), words) for w, words, _ in product_levels(wv, Fraction(x) + tie, tie)]
+        table = enumerate_levels(al, max_weight=x)
+        assert not table.truncated
+        assert [(lv.weight, lv.word_count) for lv in table] == expected
+
+    def test_letter_order_is_irrelevant(self):
+        wv = log_weights(GENERATOR_ALPHABETS[1])
+        shuffled = WeightVector(wv.weights[1:] + wv.weights[:1])
+        assert weight_events(shuffled, 8.0) == weight_events(wv, 8.0)
+
+    def test_near_ties_merge_in_levels_only(self):
+        al = GENERATOR_ALPHABETS[-1]
+        events = weight_events(log_weights(al), 8.0)
+        table = enumerate_levels(al, max_weight=8.0)
+        assert table.max_rank == events[-1][1]
+        assert len(table) < len(events)
+
+    def test_uniform_budget_rule(self):
+        # the closed form keeps level m iff the comb(m+3, 3) lattice points
+        # through it fit in the budget
+        al = make_uniform(3, 0.1)
+        for budget in range(1, 401):
+            table = enumerate_levels(al, max_rank=10**6, node_budget=budget)
+            kept = sum(1 for m in range(20) if math.comb(m + 3, 3) <= budget)
+            assert table.truncated
+            assert [lv.word_count for lv in table] == [3**m for m in range(kept)]
+
+    @pytest.mark.parametrize(
+        "al", [GENERATOR_ALPHABETS[1], GENERATOR_ALPHABETS[3]], ids=["untied3", "tied3"]
+    )
+    def test_heap_budget_rule(self, al):
+        # the heap keeps a level iff the lattice points popped through it fit
+        tie = Fraction(TIE_EPS)
+        brute = product_levels(log_weights(al), Fraction(18), tie)[:-1]  # last may be cut
+        through = list(itertools.accumulate(points for _w, _words, points in brute))
+        assert through[-1] > 300
+        for budget in range(1, 301):
+            table = enumerate_levels(al, max_rank=10**12, node_budget=budget)
+            kept = sum(1 for t in through if t <= budget)
+            assert table.truncated
+            assert [(lv.weight, lv.word_count) for lv in table] == [
+                (float(w), words) for w, words, _ in brute[:kept]
+            ]
+
+    def test_weight_events_budget_counts_pops(self):
+        wv = log_weights(GENERATOR_ALPHABETS[1])
+        points = sum(p for _w, _words, p in product_levels(wv, Fraction(6), 0))
+        assert len(weight_events(wv, 6.0, node_budget=points)) > 0
+        with pytest.raises(ResourceGuardError, match="ZIPFMONKEY_NODE_BUDGET"):
+            weight_events(wv, 6.0, node_budget=points - 1)
 
 
 class TestVerifyBounds:

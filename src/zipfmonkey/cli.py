@@ -116,11 +116,9 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_levels(args) -> int:
     al = _resolve_alphabet(args)
+    budget = _node_budget()
     table = pyramid.enumerate_levels(
-        al,
-        max_rank=args.max_rank,
-        max_weight=args.max_weight,
-        node_budget=_node_budget(),
+        al, max_rank=args.max_rank, max_weight=args.max_weight, node_budget=budget
     )
     ln10 = math.log(10.0)
     lines = [
@@ -140,7 +138,10 @@ def _cmd_levels(args) -> int:
             f"{lo}\t{hi}\t{lv.log_prob / ln10!r}\t{lv.weight!r}\t{lv.word_count}"
         )
     if table.truncated:
-        lines.append("# truncated: node budget reached, trailing level dropped")
+        lines.append(
+            f"# truncated: node budget {budget} reached, trailing level dropped; "
+            "raise ZIPFMONKEY_NODE_BUDGET to allow more"
+        )
     _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -7,14 +7,15 @@ hence one probability p0 * exp(-w(k)).  The counting function
 
     Q(x) = number of words with weight <= x   (empty word included)
 
-is evaluated here three independent ways: by nested iteration over the
-admissible lattice region (q_tilde_direct), by memoized recursion on the
-functional equation Q(x) = Q(x - L_1) + ... + Q(x - L_n) + step(x)
-(q_tilde_recursive), and by one best-first level generator behind
-enumerate_levels and weight_events.  The generator walks the compositions
-as nondecreasing letter sequences with two successors per node (append the
-last letter, or bump it to the next one), the sorted-sums frontier of
-Frederickson and Johnson, so its heap holds at most one node per pop.
+is evaluated here three independent ways: by a walk over the admissible
+lattice region with tied letters grouped (q_tilde_direct, which answers
+rank_of_probability), by memoized recursion on the functional equation
+Q(x) = Q(x - L_1) + ... + Q(x - L_n) + step(x) (q_tilde_recursive, the
+cross-check), and by one best-first level generator behind enumerate_levels
+and weight_events.  The generator walks the compositions as nondecreasing
+letter sequences with two successors per node (append the last letter, or
+bump it to the next one), the sorted-sums frontier of Frederickson and
+Johnson, so its heap holds at most one node per pop.
 
 All weight comparisons run in exact integer arithmetic.  Every float is a
 dyadic rational, so weights and thresholds mapped onto a common
@@ -27,13 +28,15 @@ exp(gamma * x) and leaves 64-bit range almost immediately.
 A node budget (default 10**7 lattice points) guards every enumeration;
 exceeding it raises ResourceGuardError.  The level generator counts the
 lattice points popped through the level it is building, so every level
-it yields is complete.
+it yields is complete; the direct walk counts its tie-grouped points.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -153,34 +156,44 @@ def _over_budget(budget: int, weight: float) -> ResourceGuardError:
 def _region_sum(W: list[int], T: int, budget: int, denom: int) -> int:
     """Sum of multinomial(k) over the region sum(k_i * W_i) <= T.
 
-    Nested iteration letter by letter on an explicit stack, so the depth is
-    not bound by the recursion limit; the innermost dimension is collapsed
-    with the hockey-stick identity sum_{j<=m} C(t+j, j) = C(t+m+1, m), so
-    each leaf costs a single binomial.
+    Letters of equal weight form one group: g letters in k slots make g**k
+    words.  Groups go heaviest first on an explicit stack (no recursion
+    limit); a bisect skips those heavier than the remaining weight, and the
+    lightest is collapsed: sum_{j<=m} C(t+j, j) * g**j, the hockey stick
+    C(t+m+1, m) when g == 1.  The budget counts grouped points, m + 1 per
+    leaf: every lattice point when untied.  _memo_sum cross-checks this.
     """
     if T < 0:
         return 0
-    last = len(W) - 1
+    ties = Counter(W)
+    w = sorted(ties, reverse=True)
+    g = [ties[wi] for wi in w]
+    neg = [-wi for wi in w]  # ascending, for bisect
+    last = len(w) - 1
     nodes = 0
     total = 0
-    stack = [(0, T, 0, 1)]  # (letter, remaining weight, letters so far, coefficient)
+    stack = [(0, T, 0, 1)]  # (group, remaining weight, letters so far, coefficient)
     while stack:
         i, rem, letters, coeff = stack.pop()
+        i = min(bisect_left(neg, -rem, i), last)
         if i == last:
-            m = rem // W[i]
+            m = rem // w[i]
             nodes += m + 1
             if nodes > budget:
                 raise _over_budget(budget, T / denom)
-            total += coeff * math.comb(letters + m + 1, m)
+            total += coeff * (
+                math.comb(letters + m + 1, m) if g[i] == 1
+                else sum(math.comb(letters + j, j) * g[i] ** j for j in range(m + 1))
+            )
             continue
         k = 0
         while True:
             stack.append((i + 1, rem, letters + k, coeff))
-            rem -= W[i]
+            rem -= w[i]
             if rem < 0:
                 break
             k += 1
-            coeff = coeff * (letters + k) // k  # C(letters+k, k) from its predecessor
+            coeff = coeff * (letters + k) // k * g[i]  # C(letters+k, k) * g**k
     return total
 
 
@@ -256,7 +269,8 @@ def rank_of_probability(
 ) -> int:
     """Rank of the last word whose probability is at least f.
 
-    Equals the counting function at x = ln(p0 / f) on the raw weights.
+    Equals the counting function at x = ln(p0 / f) on the raw weights, from
+    q_tilde_direct, whose budget counts tie-grouped lattice points.
     Only defined for 0 < f <= p0: the empty word, at rank 1, is the most
     probable word, with probability p0.  An f above p0 by no more than the
     tie tolerance in log space is p0 up to rounding.
@@ -272,7 +286,7 @@ def rank_of_probability(
             f"no word has probability {f} > p0 = {p0}; the empty word is the maximum"
         )
     x = max(x, 0.0)  # f == p0 up to rounding
-    return q_tilde_recursive(log_weights(alphabet), x, node_budget=node_budget)
+    return q_tilde_direct(log_weights(alphabet), x, node_budget=node_budget)
 
 
 # --- best-first enumeration --------------------------------------------------

@@ -283,6 +283,17 @@ class TestExitCodes:
         assert "ZIPFMONKEY_NODE_BUDGET" in err
         assert "Traceback" not in err
 
+    def test_levels_truncation_names_its_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", "500")
+        code, out, _ = run(
+            capsys, "levels", "--uniform", "3", "--p0", "0.1", "--max-rank", "1000000"
+        )
+        assert code == 0
+        last = out.splitlines()[-1]
+        assert last.startswith("# truncated")
+        assert "budget 500" in last
+        assert "ZIPFMONKEY_NODE_BUDGET" in last
+
     def test_io_error(self, capsys):
         code, _, err = run(capsys, "gamma", "--alphabet", "/nonexistent/alpha.tsv")
         assert code == 4

@@ -92,6 +92,20 @@ class TestCrossCheck:
             f = math.exp(rng.uniform(math.log(floor) * 0.95, math.log(alphabet.space_prob)))
             assert rank_of_probability(alphabet, f) == oracle_rank_of_probability(words, f)
 
+    def test_rank_function_matches_tied(self):
+        # two letters tie exactly and a third does not: the direct walk's
+        # grouped leaf and its ungrouped steps both answer
+        al = make_explicit((0.3, 0.3, 0.2), 0.2)
+        words = enumerate_all(al, 8)
+        rng = random.Random(15)
+        floor = al.space_prob * al.p_max**8
+        for _ in range(60):
+            f = math.exp(rng.uniform(math.log(floor) * 0.95, math.log(al.space_prob)))
+            assert rank_of_probability(al, f) == oracle_rank_of_probability(words, f)
+        for lp in sorted({w.log_prob for w in words if w.log_prob > math.log(floor)}):
+            f = math.exp(lp)
+            assert rank_of_probability(al, f) == oracle_rank_of_probability(words, f)
+
     def test_levels_match(self, alphabet):
         max_len = 8
         words = enumerate_all(alphabet, max_len)

@@ -114,11 +114,78 @@ class TestQTilde:
         assert functional_equation_residual(wv, x) == 0
 
     def test_node_budget_guard(self):
+        # tied letters are one group to the direct walk: uniform(3) at x=500
+        # is floor(500 / ln(1/0.3)) + 1 = 416 grouped points
         wv = log_weights(make_uniform(3, 0.1))
         with pytest.raises(ResourceGuardError):
-            q_tilde_direct(wv, 30.0, node_budget=100)
+            q_tilde_direct(wv, 500.0, node_budget=100)
         with pytest.raises(ResourceGuardError):
             q_tilde_recursive(wv, 500.0, node_budget=100)
+        untied = log_weights(make_explicit((0.45, 0.25, 0.12), 0.18))
+        with pytest.raises(ResourceGuardError, match="ZIPFMONKEY_NODE_BUDGET"):
+            q_tilde_direct(untied, 30.0, node_budget=100)
+
+    def test_direct_budget_rule(self):
+        # the direct walk trips iff its grouped lattice has more points than
+        # the budget: every lattice point when untied, one per length when tied
+        tie = Fraction(TIE_EPS)
+        untied = log_weights(make_explicit((0.45, 0.25, 0.12), 0.18))
+        points = sum(p for _w, _words, p in product_levels(untied, Fraction(6) + tie, 0))
+        uniform = log_weights(make_uniform(3, 0.1))
+        lengths = int((Fraction(200) + tie) / Fraction(uniform.weights[0])) + 1
+        assert 1 < points < 300 and 1 < lengths < 300
+        for wv, x, size in ((untied, 6.0, points), (uniform, 200.0, lengths)):
+            expected = q_tilde_recursive(wv, x)
+            for budget in range(1, 301):
+                if size > budget:
+                    with pytest.raises(ResourceGuardError):
+                        q_tilde_direct(wv, x, node_budget=budget)
+                else:
+                    assert q_tilde_direct(wv, x, node_budget=budget) == expected
+
+
+def dyadic(n):
+    """p_i = 2**-i for i = 1..n; p0 takes the rest.  Every weight is an
+    integer multiple of ln 2, so many lattice sums coincide."""
+    p = [2.0**-i for i in range(1, n + 1)]
+    return make_explicit(p, 2.0**-n)
+
+
+# alphabets whose letters tie exactly, which the direct walk groups; dyadic
+# ones, where the memo merges coinciding sums; and the benchmark's 26 letters
+CROSS_CHECK_CASES = [
+    (make_explicit((0.3, 0.3, 0.2), 0.2), (0.0, 1.2, 4.7, 9.0, 14.0)),
+    (make_explicit((0.2, 0.2, 0.1, 0.1, 0.1), 0.3), (0.5, 3.3, 7.9, 10.0)),
+    (make_explicit((0.25, 0.25, 0.1, 0.1, 0.05, 0.05), 0.2), (1.4, 5.0, 8.8)),
+    (make_explicit((0.15,) * 4 + (0.1,), 0.3), (2.0, 6.1, 11.5)),
+    (dyadic(5), (LN2 * 3, 9.9, 20.0, 35.0)),
+    (dyadic(8), (LN2 * 7, 12.5, 35.0)),
+    (make_uniform(26, 1 / 27), (3 * math.log(27), 20.0, 30.0)),
+    (make_gusein_zade(26, 0.18), (3.0, 9.5, 14.0)),
+]
+CROSS_CHECK_IDS = ["tied3", "tied2groups", "tied3groups", "tied4+1", "dyadic5",
+                   "dyadic8", "u26", "gz26"]
+
+
+class TestTiedAndDyadicCrossCheck:
+    @pytest.mark.parametrize("al, xs", CROSS_CHECK_CASES, ids=CROSS_CHECK_IDS)
+    def test_direct_equals_recursive(self, al, xs):
+        wv = log_weights(al)
+        for x in xs:
+            assert q_tilde_direct(wv, x) == q_tilde_recursive(wv, x)
+
+    @pytest.mark.parametrize("al, xs", CROSS_CHECK_CASES, ids=CROSS_CHECK_IDS)
+    def test_functional_equation(self, al, xs):
+        wv = log_weights(al)
+        for x in xs:
+            assert functional_equation_residual(wv, x) == 0
+
+    def test_tied_groups_count_words(self):
+        # letters a, b at 0.3 and c at 0.2: weight <= 2 ln(1/0.3) holds the
+        # empty word, a, b, c and the two-letter words over {a, b} (inclusive)
+        wv = log_weights(make_explicit((0.3, 0.3, 0.2), 0.2))
+        x = 2 * math.log(1 / 0.3)
+        assert q_tilde_direct(wv, x) == 1 + 3 + 4
 
 
 class TestRankOfProbability:

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 NORMALIZATION_TOL = 1e-12
+
+# \s matches exactly the characters for which str.isspace() holds
+_WHITESPACE_RUN = re.compile(r"\s+")
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -157,23 +161,28 @@ def estimate_from_corpus(
     which matches natural text.  Pass collapse_whitespace=False to count
     every whitespace character, which matches model-generated streams where
     consecutive spaces delimit empty words.
+
+    Each chunk is counted per character by Counter.update, and its
+    whitespace runs by one regex scan (a run split across two chunks counts
+    once); each distinct character is then classified once, so is_letter
+    and case folding run per distinct character, not per occurrence.
     """
     if is_letter is None:
         is_letter = str.isalpha
     chunks = [stream] if isinstance(stream, str) else stream
-    counts: Counter[str] = Counter()
-    spaces = 0
+    chars: Counter[str] = Counter()
+    runs = 0
     in_run = False
     for chunk in chunks:
-        for ch in chunk:
-            if ch.isspace():
-                if not collapse_whitespace or not in_run:
-                    spaces += 1
-                in_run = True
-            else:
-                in_run = False
-                if is_letter(ch):
-                    counts[ch.lower() if fold_case else ch] += 1
+        chars.update(chunk)
+        if collapse_whitespace and chunk:
+            runs += len(_WHITESPACE_RUN.findall(chunk)) - (in_run and chunk[0].isspace())
+            in_run = chunk[-1].isspace()
+    counts: Counter[str] = Counter()
+    for ch, c in chars.items():
+        if not ch.isspace() and is_letter(ch):
+            counts[ch.lower() if fold_case else ch] += c
+    spaces = runs if collapse_whitespace else sum(c for ch, c in chars.items() if ch.isspace())
     total = spaces + sum(counts.values())
     if total == 0:
         raise ValueError("empty corpus: no letters or spaces after filtering")
@@ -240,9 +249,13 @@ def to_json(alphabet: Alphabet) -> str:
 
 
 def from_json(text: str) -> Alphabet:
-    doc = json.loads(text)
-    letters = doc["letters"]
-    return make_explicit(list(letters.values()), doc["space"], list(letters.keys()))
+    try:
+        doc = json.loads(text)
+        letters = doc["letters"]
+        probs, p0 = [float(p) for p in letters.values()], float(doc["space"])
+    except (TypeError, KeyError, AttributeError, RecursionError):
+        raise ValueError('expected {"space": p0, "letters": {label: prob, ...}}') from None
+    return make_explicit(probs, p0, list(letters.keys()))
 
 
 def loads(text: str) -> Alphabet:

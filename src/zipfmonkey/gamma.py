@@ -85,6 +85,8 @@ def solve_gamma(alphabet: Alphabet, tol: float = 1e-14) -> GammaSolution:
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: a tol below their spacing is unreachable
+            break
         if power_sum(alphabet, mid) > 1.0:
             lo = mid
         else:

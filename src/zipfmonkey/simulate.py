@@ -7,7 +7,9 @@ distribution p_i / (1-p0).  That is distributionally identical to typing
 characters and splitting on spaces, and it makes "exactly word_count
 words" trivially true.
 
-Generation is vectorized with numpy and driven by PCG64; a fixed
+Generation is vectorized with numpy and driven by PCG64; numpy is imported
+inside the two functions that draw words, so importing this module (and
+with it the package and the CLI) does not load it.  A fixed
 (alphabet, word_count, seed, streams) quadruple reproduces the same table
 within one build.  Multiple streams partition the word count across
 generators spawned from one SeedSequence, so partial tables merge by plain
@@ -25,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .alphabet import Alphabet
 from .errors import ResourceGuardError
@@ -76,6 +76,8 @@ class RankFrequency:
 def _generate_stream(
     alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int
 ) -> dict[Word, int]:
+    import numpy as np
+
     p0 = alphabet.space_prob
     n = alphabet.n
     lengths = rng.geometric(p0, size=count) - 1  # letters before the space
@@ -144,6 +146,8 @@ def generate_words(
     if streams < 1:
         raise ValueError(f"streams must be positive, got {streams}")
 
+    import numpy as np
+
     children = np.random.SeedSequence(seed).spawn(streams)
     base, extra = divmod(word_count, streams)
     parts = []
@@ -153,7 +157,7 @@ def generate_words(
             rng = np.random.Generator(np.random.PCG64(child))
             part = _generate_stream(alphabet, cnt, rng, word_cap)
             parts.append(FrequencyTable(part, cnt))
-    table = merge_tables(parts)
+    table = parts[0] if len(parts) == 1 else merge_tables(parts)
     if skip_empty and () in table.entries:
         dropped = table.entries.pop(())
         table.total_words -= dropped

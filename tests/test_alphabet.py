@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zipfmonkey import alphabet as am
@@ -167,6 +167,82 @@ class TestEstimateFromCorpus:
         assert abs(est.space_prob - 0.18) <= 3 * se0
 
 
+def reference_estimate(chunks, is_letter=None, fold_case=True, collapse_whitespace=True):
+    """estimate_from_corpus as one pass over the characters, the spec it must equal."""
+    if is_letter is None:
+        is_letter = str.isalpha
+    counts = {}
+    spaces = 0
+    in_run = False
+    for chunk in chunks:
+        for ch in chunk:
+            if ch.isspace():
+                if not collapse_whitespace or not in_run:
+                    spaces += 1
+                in_run = True
+            else:
+                in_run = False
+                if is_letter(ch):
+                    key = ch.lower() if fold_case else ch
+                    counts[key] = counts.get(key, 0) + 1
+    total = spaces + sum(counts.values())
+    if total == 0:
+        raise ValueError("empty corpus: no letters or spaces after filtering")
+    if len(counts) < 2:
+        raise ValueError(f"need at least 2 distinct letters, observed {len(counts)}")
+    labels = sorted(counts)
+    return make_explicit([counts[c] / total for c in labels], spaces / total, labels)
+
+
+def _outcome(estimate, *args, **kwargs):
+    try:
+        al = estimate(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return al.letter_probs, al.space_prob, al.labels
+
+
+def _ascii_and_cjk(ch):
+    return ch.isascii() and ch.isalpha() or "\u4e00" <= ch <= "\u9fff"
+
+
+# letters whose lowercase differs from a one-letter case map (İ lowers to two
+# code points), punctuation, digits, CJK, and whitespace beyond ' \t\n'
+CORPUS_CHARS = st.sampled_from(
+    list("abcXYZİßẞ.,!?-09中文字")
+    + [" ", "\t", "\n", "\r", "\x0b", "\x85", "\x1c", "\u2028", "\u3000"]
+)
+
+
+@st.composite
+def chunked_text(draw):
+    text = draw(st.text(CORPUS_CHARS, max_size=60))
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=6)))
+    bounds = [0, *cuts, len(text)]
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestEstimateMatchesReference:
+    @settings(max_examples=300)
+    @given(
+        chunks=chunked_text(),
+        is_letter=st.sampled_from([None, str.isalnum, _ascii_and_cjk]),
+        fold_case=st.booleans(),
+        collapse_whitespace=st.booleans(),
+    )
+    @example(["ab \t", "", "\n\u3000", " ba", "\x85"], None, True, True)
+    @example(["İß", "ẞ i"], None, True, True)
+    @example(["", "...", "", "12"], None, True, True)
+    @example([" \t", "", "\x1c"], None, True, False)
+    @example(["aaa", " A"], None, True, True)
+    def test_equals_per_character_count(self, chunks, is_letter, fold_case, collapse_whitespace):
+        flags = dict(is_letter=is_letter, fold_case=fold_case, collapse_whitespace=collapse_whitespace)
+        expected = _outcome(reference_estimate, chunks, **flags)
+        assert _outcome(estimate_from_corpus, chunks, **flags) == expected
+        assert _outcome(estimate_from_corpus, iter(chunks), **flags) == expected
+        assert _outcome(estimate_from_corpus, "".join(chunks), **flags) == expected
+
+
 def assert_alphabets_close(a, b, rel=1e-13):
     # parsing renormalizes, so round trips are lossless to well past 12
     # significant digits but not necessarily bit-exact
@@ -197,6 +273,22 @@ class TestSerialization:
     def test_bad_line(self):
         with pytest.raises(ValueError, match="line 2"):
             am.from_text("space 0.2\na 0.4 extra\n")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[]",
+            '"abc"',
+            '{"space": 0.2}',
+            '{"letters": 5, "space": 0.1}',
+            '{"letters": {"a": null, "b": 0.4}, "space": 0.2}',
+            '{"letters": {"a": 0.4, "b": 0.4}, "space": [0.2]}',
+            '{"a":' * 100_000,
+        ],
+    )
+    def test_malformed_json_is_a_value_error(self, doc):
+        with pytest.raises(ValueError):
+            am.from_json(doc)
 
 
 class TestInvariants:

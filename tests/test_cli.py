@@ -1,10 +1,19 @@
 """CLI subcommands, file round trips, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipfmonkey import alphabet as am
 from zipfmonkey import make_explicit, make_uniform, weight_events, log_weights
@@ -398,3 +407,183 @@ class TestExactOutputsPinned:
         assert code == 0, err
         assert "# truncated" not in out
         assert int(tsv_rows(out)[-1][1]) >= 2000
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def loads_numpy(code, cwd):
+    """Run code in a fresh interpreter on src/; True when numpy got imported."""
+    probe = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()[-1] == "True"
+
+
+class TestNumpyImportedOnlyToDrawWords:
+    @pytest.fixture
+    def workdir(self, tmp_path):
+        (tmp_path / "corpus.txt").write_text("the cat sat on the mat\nand then ran\n")
+        (tmp_path / "ranks.tsv").write_text("".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)))
+        return tmp_path
+
+    @pytest.mark.parametrize("module", ["zipfmonkey", "zipfmonkey.cli"])
+    def test_import(self, workdir, module):
+        assert not loads_numpy(f"import {module}", workdir)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--uniform", "3", "--p0", "0.2"],
+            ["levels", "--gusein-zade", "4", "--p0", "0.2", "--max-rank", "50"],
+            ["levels", "--corpus", "corpus.txt", "--max-rank", "50"],
+            ["qfun", "--uniform", "3", "--p0", "0.2", "--x-max", "4"],
+            ["certify", "--gusein-zade", "3", "--p0", "0.2", "--x-max", "6"],
+            ["fit", "--in", "ranks.tsv"],
+            ["compare", "--uniform", "3", "--p0", "0.2", "--in", "ranks.tsv"],
+            ["ingest", "--corpus", "corpus.txt", "--alphabet-out", "alpha.json"],
+            ["simulate", "--uniform", "3", "--p0", "0.3", "--n-words", "100", "--seed", "1"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_command(self, workdir, argv):
+        argv = [*argv, "--out", "out.txt"]
+        code = f"from zipfmonkey.cli import main\nassert main({argv!r}) == 0"
+        assert loads_numpy(code, workdir) == (argv[0] == "simulate")
+        assert (workdir / "out.txt").read_text().startswith("# format: v1 ")
+
+
+# NaN, infinities, negatives, zero and a tiny positive: each option draws one
+# of these a quarter of the time and a plain value otherwise
+ODD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e-300"]
+ALPHABET_COMMANDS = ("gamma", "levels", "qfun", "certify", "simulate", "compare")
+# per command: option -> plain values (None: a flag; a str: a kind of input
+# file; a tuple of options: one of them, as for an exclusive group)
+COMMAND_OPTIONS = {
+    "gamma": {"--tol": ["1e-3", "1e-14"]},
+    "levels": {("--max-rank", "--max-weight"): ["1", "2.5", "100", "10000"], "--no-empty-word": None},
+    "qfun": {"--x-max": ["3", "12"]},
+    "certify": {"--x-max": ["3", "12"]},
+    "simulate": {
+        "--n-words": ["1", "2000"],
+        "--seed": ["7"],
+        "--streams": ["1", "3"],
+        "--skip-empty": None,
+    },
+    "fit": {"--in": "tsv", "--kind": ["auto", "ranks", "words"], "--window": "window"},
+    "compare": {"--in": "tsv", "--kind": ["auto", "ranks", "words"], "--window": "window"},
+    "ingest": {"--corpus": "corpus", "--keep-case": None, "--alphabet-out": "out"},
+}
+# kind -> file name -> content; names starting "ok" are well formed
+CONTRACT_FILES = {
+    "alphabet": {
+        "empty.txt": "",
+        "extra_column.txt": "space 0.2\na 0.4 extra\n",
+        "nan.txt": "space nan\na 0.5\nb 0.5\n",
+        "inf.txt": "space 0.2\na inf\nb 0.4\n",
+        "one_letter.txt": "space 0.2\na 0.8\n",
+        "ok.txt": "space 0.2\na 0.5\nb 0.3\n",
+        "list.json": "[]",
+        "truncated.json": '{"space": 0.2, "letters": {',
+        "no_letters.json": '{"space": 0.2}',
+        "letters_number.json": '{"letters": 5, "space": 0.1}',
+        "null_prob.json": '{"letters": {"a": null, "b": 0.4}, "space": 0.2}',
+        "deep.json": '{"a":' * 100_000,
+        "ok.json": '{"letters": {"a": 0.5, "b": 0.3}, "space": 0.2}',
+    },
+    "corpus": {
+        "empty.txt": "",
+        "blank.txt": " \t\n",
+        "one_letter.txt": "aaaa aa\n",
+        "no_space.txt": "abab",
+        "ok.txt": "the cat sat on the mat\nand then ran\n",
+    },
+    "tsv": {
+        "empty.tsv": "",
+        "comment.tsv": "# nothing but a comment\n",
+        "three_columns.tsv": "a\tb\tc\n",
+        "nan.tsv": "1\tnan\n2\tinf\n3\t-0.5\n",
+        "zero_counts.tsv": "x\t0\ny\t0\n",
+        "negative_counts.tsv": "x\t-3\ny\t3\nz\t1\n",
+        "ok_ranks.tsv": "".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)),
+        "ok_words.tsv": "".join(f"w{i}\t{100 // i}\n" for i in range(1, 31)),
+    },
+}
+WINDOWS = [["-5", "-1"], ["0", "0"], ["5", "1"], ["1", "3"], ["1", "1000"], ["10", "30"]]
+
+
+def odd_or(plain):
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(plain if i else ODD_NUMBERS))
+
+
+@st.composite
+def cli_argv(draw, paths):
+    """A command with a random mix of its options, odd values and bad files."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command]
+    if command in ALPHABET_COMMANDS:
+        source = draw(st.sampled_from(["--uniform", "--gusein-zade", "--alphabet", "--corpus", None]))
+        if source in ("--uniform", "--gusein-zade"):
+            argv += [source, draw(odd_or(["2", "3", "26", "50", "x"]))]
+        elif source is not None:
+            argv += [source, draw(paths[source.lstrip("-")])]
+        if draw(st.integers(0, 7)):
+            argv += ["--p0", draw(odd_or(["0.2", "0.5", "0.9"]))]
+    for option, values in COMMAND_OPTIONS[command].items():
+        if not draw(st.integers(0, 7)):  # leave required options out now and then
+            continue
+        if isinstance(option, tuple):
+            option = draw(st.sampled_from(option))
+        argv.append(option)
+        if values == "window":
+            argv += draw(st.sampled_from(WINDOWS))
+        elif isinstance(values, str):
+            argv.append(draw(paths[values]))
+        elif values is not None:
+            argv.append(draw(odd_or(values)))
+    if draw(st.integers(0, 4)) == 0:
+        argv += ["--out", draw(paths["out"])]
+    return argv
+
+
+class TestExitCodeContract:
+    """Any argument mix ends in an exit code 0-4, never in a traceback."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        """kind -> strategy drawing a broken or a well-formed input file, half and half."""
+        root = tmp_path_factory.mktemp("contract")
+        bad_utf8 = root / "bad_utf8.txt"
+        bad_utf8.write_bytes(b"ab \xff\xfe")
+        paths = {"out": st.sampled_from([str(root), str(root / "missing" / "out.txt")])}
+        for kind, files in CONTRACT_FILES.items():
+            broken, ok = [str(root / "missing.txt"), str(bad_utf8)], []
+            for name, text in files.items():
+                path = root / f"{kind}_{name}"
+                path.write_text(text, encoding="utf-8")
+                (ok if name.startswith("ok") else broken).append(str(path))
+            paths[kind] = st.one_of(st.sampled_from(broken), st.sampled_from(ok))
+        return paths
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        node_budget=st.sampled_from(["3000", "abc", "-1", "0"]),
+        word_cap=st.sampled_from(["100000", "abc", "-1", "0"]),
+    )
+    def test_exit_code_in_range(self, paths, data, node_budget, word_cap):
+        argv = data.draw(cli_argv(paths), label="argv")
+        env = {"ZIPFMONKEY_NODE_BUDGET": node_budget, "ZIPFMONKEY_WORD_CAP": word_cap}
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in range(5)
+        assert "Traceback" not in err.getvalue()

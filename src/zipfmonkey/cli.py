@@ -50,13 +50,9 @@ def _word_cap() -> int:
 # --- alphabet sources --------------------------------------------------------
 
 
-def _add_alphabet_options(parser: _Parser, with_file_alias: bool = False) -> None:
+def _add_alphabet_options(parser: _Parser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--alphabet", metavar="FILE", help="alphabet file (text or JSON)")
-    if with_file_alias:
-        group.add_argument(
-            "--alphabet-file", dest="alphabet", metavar="FILE", help=argparse.SUPPRESS
-        )
     group.add_argument("--uniform", type=int, metavar="N", help="N equally likely letters")
     group.add_argument(
         "--gusein-zade", dest="gusein_zade", type=int, metavar="N",
@@ -240,9 +236,7 @@ def _rank_freq_from_file(path: str, kind: str) -> simulate.RankFrequency:
         pts = sorted((int(a), float(b)) for a, b in rows)
         return simulate.RankFrequency(tuple(pts))
     counts = {w: int(c) for w, c in rows}  # a repeated word: the last row wins
-    total = sum(counts.values())
-    ranked = sorted(counts.values(), reverse=True)
-    return simulate.RankFrequency(tuple((i + 1, c / total) for i, c in enumerate(ranked)))
+    return simulate.empirical_rank_freq(counts.values())
 
 
 def _fit_from_args(args) -> tuple[fit_mod.FitResult, simulate.RankFrequency]:
@@ -309,14 +303,13 @@ def _cmd_ingest(args) -> int:
     counts = _tokenize_words(text, fold_case=not args.keep_case)
     if not counts:
         raise ValueError(f"no words found in {args.corpus}")
-    total = sum(counts.values())
-    ranked = sorted(counts.values(), reverse=True)
+    points = simulate.empirical_rank_freq(counts.values())
     lines = [
         "# format: v1 rank_freq",
-        f"# source={args.corpus} words={total} distinct={len(counts)}",
+        f"# source={args.corpus} words={sum(counts.values())} distinct={len(counts)}",
         "# columns: rank\tfreq",
     ]
-    lines += [f"{i + 1}\t{c / total!r}" for i, c in enumerate(ranked)]
+    lines += [f"{r}\t{f!r}" for r, f in points]
     _write_output(args, "\n".join(lines) + "\n")
     if args.alphabet_out:
         al = alphabet_mod.estimate_from_corpus(
@@ -370,7 +363,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("simulate", help="draw words from the model, emit word counts")
-    _add_alphabet_options(p, with_file_alias=True)
+    _add_alphabet_options(p)
     p.add_argument("--n-words", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--streams", type=int, default=1)

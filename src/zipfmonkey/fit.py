@@ -99,7 +99,7 @@ def rank_freq_from_levels(levels: LevelTable | Sequence[Level]) -> RankFrequency
     Using one point per class avoids overweighting wide levels in a fit;
     expand per rank yourself if you want the step function sampled instead.
     """
-    seq = levels.levels if isinstance(levels, LevelTable) else tuple(levels)
+    seq = tuple(levels)
     if not seq:
         raise ValueError("empty level table")
     return RankFrequency(tuple((lv.rank_lo, math.exp(lv.log_prob)) for lv in seq))

@@ -19,9 +19,12 @@ Johnson, so its heap holds at most one node per pop.
 
 All weight comparisons run in exact integer arithmetic.  Every float is a
 dyadic rational, so weights and thresholds mapped onto a common
-power-of-two denominator become integers; lattice sums then never suffer
-rounding, ties are decided exactly, and for equal weights (uniform
-alphabets) level indices are exact integer multiples by construction.
+power-of-two denominator (_grid) become integers; lattice sums then never
+suffer rounding, and for equal weights (uniform alphabets) level indices
+are exact integer multiples by construction.  One tie rule holds
+everywhere: weights within TIE_EPS are one level, and a query at x (or a
+bound x_max) counts every point up to x + TIE_EPS, so levels, the jumps of
+Q and rank queries group words identically.
 Counts are Python ints throughout: the counting function grows like
 exp(gamma * x) and leaves 64-bit range almost immediately.
 
@@ -47,8 +50,6 @@ from .gamma import WeightVector, log_weights
 
 TIE_EPS = 1e-9  # absolute tie tolerance for weights, in nats
 DEFAULT_NODE_BUDGET = 10**7
-
-_TIE_EPS_FRACTION = Fraction(TIE_EPS)
 
 
 @dataclass(frozen=True)
@@ -122,25 +123,24 @@ def multinomial(k: Sequence[int]) -> int:
 # --- exact dyadic scaling ----------------------------------------------------
 
 
-def _scaled(weights: Sequence[float], thresholds: Sequence[Fraction]):
-    """Map float weights and exact thresholds onto one integer grid.
+def _grid(weights: Sequence[float], x: float | None = None):
+    """Map the weights, the tie tolerance and x + TIE_EPS onto one integer grid.
 
-    Returns (W, T, D) with W[i] = weights[i] * D and T[j] = thresholds[j] * D
-    all exact integers; D is the least common power-of-two denominator.
+    Returns (W, T, tie, denom): W[i] = weights[i] * denom, tie = TIE_EPS *
+    denom and T = (x + TIE_EPS) * denom (None when x is None), all exact
+    integers; denom is the least common power-of-two denominator.  This is
+    the one tie rule: weights within tie of each other are one level, and a
+    point within tie above x is counted at x.
     """
-    fw = [Fraction(w) for w in weights]
-    ft = list(thresholds)
-    denom = math.lcm(*(f.denominator for f in fw + ft))
-
-    def to_grid(f: Fraction) -> int:
-        return f.numerator * (denom // f.denominator)
-
-    return [to_grid(f) for f in fw], [to_grid(f) for f in ft], denom
-
-
-def _threshold(x) -> Fraction:
-    """Inclusive counting threshold for the query point x."""
-    return Fraction(x) + _TIE_EPS_FRACTION
+    tie = Fraction(TIE_EPS)
+    fs = [Fraction(w) for w in weights] + [tie]
+    if x is not None:
+        fs.append(Fraction(x) + tie)
+    denom = math.lcm(*(f.denominator for f in fs))
+    ints = [f.numerator * (denom // f.denominator) for f in fs]
+    if x is None:
+        return ints[:-1], None, ints[-1], denom
+    return ints[:-2], ints[-1], ints[-2], denom
 
 
 def _over_budget(budget: int, weight: float) -> ResourceGuardError:
@@ -234,7 +234,7 @@ def q_tilde_direct(
     """
     if x < 0:
         return 0
-    W, (T,), denom = _scaled(weights.weights, [_threshold(x)])
+    W, T, _tie, denom = _grid(weights.weights, x)
     return _region_sum(W, T, node_budget, denom)
 
 
@@ -244,7 +244,7 @@ def q_tilde_recursive(
     """Same value as q_tilde_direct, via the memoized functional equation."""
     if x < 0:
         return 0
-    W, (T,), denom = _scaled(weights.weights, [_threshold(x)])
+    W, T, _tie, denom = _grid(weights.weights, x)
     return _memo_sum(W, T, node_budget, denom)
 
 
@@ -257,7 +257,7 @@ def functional_equation_residual(
     the step term uses the same tie tolerance as the counting function, so
     the identity is checked without any rounding slack.
     """
-    W, (T,), denom = _scaled(weights.weights, [_threshold(x)])
+    W, T, _tie, denom = _grid(weights.weights, x)
     lhs = _region_sum(W, T, node_budget, denom)
     shifted = sum(_region_sum(W, T - wi, node_budget, denom) for wi in W)
     step = 1 if T >= 0 else 0
@@ -293,15 +293,14 @@ def rank_of_probability(
 
 
 def _iter_levels(
-    W: list[int], T: int | None, tie: int, budget: int, denom: int
+    weights: Sequence[float], x: float | None, budget: int
 ) -> Iterator[tuple[float, int]]:
     """Yield (weight, word_count) per level of the word list, by weight.
 
-    A level is complete when yielded: it opens at a lattice point of scaled
-    weight w0 and closes at the first popped point heavier than w0 + tie,
-    or when the lattice up to T runs out.  With T None the lattice is
-    unbounded and the caller must stop consuming.  Weights are yielded
-    divided by denom.
+    A level is complete when yielded: it opens at a lattice point of weight
+    w0 and closes at the first popped point heavier than w0 + TIE_EPS, or
+    when the lattice up to x + TIE_EPS runs out.  With x None the lattice
+    is unbounded and the caller must stop consuming.
 
     A composition is walked as its nondecreasing letter sequence over the
     letters sorted by weight.  A node (w, words, j, m_j, length) ends in
@@ -311,6 +310,7 @@ def _iter_levels(
     ResourceGuardError is raised once more than budget lattice points have
     been popped through the open level; the levels before it are yielded.
     """
+    W, T, tie, denom = _grid(weights, x)
     n = len(W)
     if all(w == W[0] for w in W):
         # equal weights: level m holds n**m words at m * W[0], and the
@@ -372,17 +372,10 @@ def enumerate_levels(
         raise ValueError("levels need a positive space probability")
     log_p0 = math.log(p0)
 
-    thresholds = [_TIE_EPS_FRACTION]
-    if max_weight is not None:
-        thresholds.append(_threshold(max_weight))
-    W, scaled, denom = _scaled(log_weights(alphabet).weights, thresholds)
-    tie = scaled[0]
-    T = scaled[1] if max_weight is not None else None
-
     levels: list[Level] = []
     rank = 1
     try:
-        for weight, count in _iter_levels(W, T, tie, node_budget, denom):
+        for weight, count in _iter_levels(log_weights(alphabet).weights, max_weight, node_budget):
             levels.append(Level(weight, count, rank, rank + count - 1, log_p0 - weight))
             rank += count
             if max_rank is not None and rank > max_rank:
@@ -394,19 +387,12 @@ def enumerate_levels(
 
 def p_of_rank(levels: LevelTable | Sequence[Level], r: int) -> float:
     """Log-probability of the rank-r word, from an enumerated level table."""
-    seq = levels.levels if isinstance(levels, LevelTable) else tuple(levels)
+    seq = tuple(levels)
     if not seq:
         raise ValueError("empty level table")
     if r < 1 or r > seq[-1].rank_hi:
         raise ValueError(f"rank {r} outside enumerated range [1, {seq[-1].rank_hi}]")
-    lo, hi = 0, len(seq) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seq[mid].rank_hi < r:
-            lo = mid + 1
-        else:
-            hi = mid
-    return seq[lo].log_prob
+    return seq[bisect_left(seq, r, key=lambda lv: lv.rank_hi)].log_prob
 
 
 # --- envelope certificate ----------------------------------------------------
@@ -420,14 +406,15 @@ def weight_events(
 ) -> list[tuple[float, int]]:
     """Jump points of the counting function up to x_max, with its values.
 
-    Returns (x, Q(x)) pairs at every distinct weight <= x_max, ascending.
+    Returns (x, Q(x)) pairs, ascending, one per level: weights within
+    TIE_EPS are one level, as in enumerate_levels, and levels are counted
+    up to x_max + TIE_EPS.  So each Q(x) equals q_tilde_direct at its x.
     """
     if x_max < 0:
         return []
-    W, (T,), denom = _scaled(weights.weights, [Fraction(x_max)])
     events: list[tuple[float, int]] = []
     cum = 0
-    for weight, count in _iter_levels(W, T, 0, node_budget, denom):
+    for weight, count in _iter_levels(weights.weights, x_max, node_budget):
         cum += count
         events.append((weight, cum))
     return events
@@ -478,7 +465,7 @@ def verify_bounds(
     infs: list[float] = []
     for j, (x, q_val) in enumerate(events):
         shifted = float(q_val) + shift
-        right = events[j + 1][0] if j + 1 < len(events) else x_max
+        right = events[j + 1][0] if j + 1 < len(events) else max(x_max, x)
         sups.append(shifted * math.exp(-x))
         infs.append(shifted * math.exp(-right))
 

@@ -55,16 +55,17 @@ class RankFrequency:
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        pts = tuple((int(r), float(f)) for r, f in self.points)
-        object.__setattr__(self, "points", pts)
-        for (r1, f1), (r2, f2) in zip(pts, pts[1:]):
-            if r2 <= r1:
-                raise ValueError("ranks must be strictly increasing")
-            if f2 > f1:
-                raise ValueError("frequencies must be nonincreasing")
-        for _r, f in pts:
+        pts = []
+        for r, f in self.points:
+            r, f = int(r), float(f)
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"frequency out of (0, 1]: {f}")
+            if pts and r <= pts[-1][0]:
+                raise ValueError("ranks must be strictly increasing")
+            if pts and f > pts[-1][1]:
+                raise ValueError("frequencies must be nonincreasing")
+            pts.append((r, f))
+        object.__setattr__(self, "points", tuple(pts))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -148,15 +149,15 @@ def generate_words(
 
     import numpy as np
 
-    children = np.random.SeedSequence(seed).spawn(streams)
-    base, extra = divmod(word_count, streams)
+    # children are indexed by spawn key, so spawning only the streams that
+    # get a word leaves every drawn stream as it was
+    children = np.random.SeedSequence(seed).spawn(min(streams, word_count))
+    base, extra = divmod(word_count, len(children))
     parts = []
     for i, child in enumerate(children):
         cnt = base + (1 if i < extra else 0)
-        if cnt:
-            rng = np.random.Generator(np.random.PCG64(child))
-            part = _generate_stream(alphabet, cnt, rng, word_cap)
-            parts.append(FrequencyTable(part, cnt))
+        rng = np.random.Generator(np.random.PCG64(child))
+        parts.append(FrequencyTable(_generate_stream(alphabet, cnt, rng, word_cap), cnt))
     table = parts[0] if len(parts) == 1 else merge_tables(parts)
     if skip_empty and () in table.entries:
         dropped = table.entries.pop(())
@@ -164,15 +165,20 @@ def generate_words(
     return table
 
 
-def empirical_rank_freq(table: FrequencyTable) -> RankFrequency:
-    """Rank the observed words by count, freq = count/total.
+def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
+    """Rank words by count: the rank-r point is (r, r-th largest count / total).
 
-    Tied words share a frequency, so the points do not depend on their order.
+    Takes a FrequencyTable or the bare counts, one per distinct word.  Tied
+    words share a frequency, so the points do not depend on their order.
+    An empty input or a count that is not positive raises ValueError.
     """
-    if not table.entries:
+    counts = table.entries.values() if isinstance(table, FrequencyTable) else table
+    ranked = sorted(counts, reverse=True)
+    if not ranked:
         raise ValueError("empty frequency table")
-    ranked = sorted(table.entries.values(), reverse=True)
-    total = table.total_words
+    if ranked[-1] <= 0:
+        raise ValueError(f"counts must be positive, got {ranked[-1]}")
+    total = sum(ranked)
     return RankFrequency(tuple((i + 1, c / total) for i, c in enumerate(ranked)))
 
 

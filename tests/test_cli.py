@@ -2,12 +2,15 @@
 
 import contextlib
 import hashlib
+import importlib
+import importlib.util
 import io
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipfmonkey import alphabet as am
-from zipfmonkey import make_explicit, make_uniform, weight_events, log_weights
+from zipfmonkey import (
+    log_weights,
+    make_explicit,
+    make_gusein_zade,
+    make_uniform,
+    q_tilde_direct,
+    rescale_weights,
+    solve_gamma,
+    weight_events,
+)
 from zipfmonkey.cli import main
 
 
@@ -131,6 +143,21 @@ class TestQfunCommand:
             assert float(row[0]) == pytest.approx(x, abs=1e-12)
             assert int(row[1]) == q
 
+    def test_jump_within_tie_above_x_max(self, capsys):
+        # a jump up to TIE_EPS above --x-max is counted at x_max, as in levels
+        wv = log_weights(make_gusein_zade(3, 0.2))
+        jump = weight_events(wv, 6.0)[-3][0]
+        x_max = jump - 5e-10
+        code, out, _ = run(
+            capsys, "qfun", "--gusein-zade", "3", "--p0", "0.2", "--x-max", repr(x_max)
+        )
+        assert code == 0
+        rows = tsv_rows(out)
+        assert float(rows[-1][0]) == jump > x_max
+        assert int(rows[-1][1]) == q_tilde_direct(wv, x_max)
+        for x, q in rows:
+            assert int(q) == q_tilde_direct(wv, float(x))
+
 
 class TestCertifyCommand:
     def test_pass(self, capsys):
@@ -141,6 +168,22 @@ class TestCertifyCommand:
         assert 0 < float(values["c1"]) < float(values["c2"])
         assert float(values["verified_up_to"]) == 20.0
         assert int(values["event_count"]) > 0
+
+    def test_jump_within_tie_above_x_max(self, capsys):
+        # the last event lies above x_max; its interval ends at the event
+        al = make_gusein_zade(3, 0.2)
+        wv = rescale_weights(al, solve_gamma(al))
+        events = weight_events(wv, 12.0)
+        jump = events[-2][0]
+        x_max = jump - 5e-10
+        code, out, _ = run(
+            capsys, "certify", "--gusein-zade", "3", "--p0", "0.2", "--x-max", repr(x_max)
+        )
+        assert code == 0
+        values = kv(out)
+        assert values["status"] == "PASS"
+        assert float(values["verified_up_to"]) == x_max
+        assert int(values["event_count"]) == len(events) - 1
 
     def test_rejects_small_x_max(self, capsys):
         code, _, err = run(capsys, "certify", "--uniform", "2", "--p0", "0.3", "--x-max", "0.1")
@@ -159,14 +202,17 @@ class TestSimulateCommand:
         assert sum(int(c) for _w, c in rows) == 500
         assert rows[0][0] == "<EPS>"  # p0=0.4 makes the empty word the mode
 
-    def test_alphabet_file_alias(self, capsys, tmp_path):
-        path = tmp_path / "a.tsv"
-        path.write_text(am.to_text(make_uniform(2, 0.4)))
-        code, out, _ = run(
-            capsys, "simulate", "--alphabet-file", str(path),
-            "--n-words", "100", "--seed", "1",
-        )
+    def test_streams_beyond_words_cost_nothing(self, capsys):
+        # only streams that get a word are spawned; the header echoes --streams
+        args = ("simulate", "--gusein-zade", "4", "--p0", "0.2", "--n-words", "10", "--seed", "7")
+        code, few, _ = run(capsys, *args, "--streams", "10")
         assert code == 0
+        start = time.perf_counter()
+        code, many, _ = run(capsys, *args, "--streams", str(10**12))
+        assert code == 0
+        assert time.perf_counter() - start < 5.0
+        assert tsv_rows(many) == tsv_rows(few)
+        assert f"streams={10**12}" in many
 
     def test_seed_required_with_out(self, capsys, tmp_path):
         code, _, err = run(
@@ -223,6 +269,34 @@ class TestFitAndCompare:
         lines = plot.read_text().splitlines()
         assert lines[0] == "lg_r,lg_f,lg_f_fit"
         assert len(lines) == 50  # header + ranks 2..50
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_word_counts_last_row_wins(self, capsys, tmp_path, command):
+        rows = [f"w{i}\t{100 // i}\n" for i in range(1, 31)]
+        clean, dup = tmp_path / "clean.tsv", tmp_path / "dup.tsv"
+        clean.write_text("".join(rows))
+        dup.write_text("w1\t7\nw5\t900\n" + "".join(rows))  # later rows override
+        outs = []
+        for path in (clean, dup):
+            argv = [command, "--in", str(path), "--kind", "words"]
+            if command == "compare":
+                argv += ["--gusein-zade", "4", "--p0", "0.2"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("bad", ["0", "-4"])
+    def test_word_count_not_positive_exits_2(self, capsys, tmp_path, command, bad):
+        path = tmp_path / "words.tsv"
+        path.write_text("".join(f"w{i}\t{100 // i}\n" for i in range(1, 31)) + f"z\t{bad}\n")
+        argv = [command, "--in", str(path), "--kind", "words"]
+        if command == "compare":
+            argv += ["--gusein-zade", "4", "--p0", "0.2"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "positive" in err
 
 
 class TestIngest:
@@ -427,6 +501,20 @@ def loads_numpy(code, cwd):
     return done.stdout.split()[-1] == "True"
 
 
+class TestBenchTracerTargets:
+    def test_every_target_resolves(self):
+        # perfbench/tracing.py wraps these by name; a renamed or removed
+        # function would make traced runs fail
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert len(tracing.TARGETS) > 10
+        for module_name, attr, layer in tracing.TARGETS:
+            assert callable(getattr(importlib.import_module(module_name), attr))
+            assert layer in tracing.LAYERS
+
+
 class TestNumpyImportedOnlyToDrawWords:
     @pytest.fixture
     def workdir(self, tmp_path):
@@ -474,7 +562,7 @@ COMMAND_OPTIONS = {
     "simulate": {
         "--n-words": ["1", "2000"],
         "--seed": ["7"],
-        "--streams": ["1", "3"],
+        "--streams": ["1", "3", str(10**12)],
         "--skip-empty": None,
     },
     "fit": {"--in": "tsv", "--kind": ["auto", "ranks", "words"], "--window": "window"},

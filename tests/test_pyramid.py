@@ -357,8 +357,8 @@ def product_levels(wv, bound, tie):
 
 
 # untied, exactly tied (0.25 = 0.5**2; two equal letters), and tied within
-# TIE_EPS only (0.16 * (1 + 1e-12) against 0.4**2), where levels merge what
-# the counting function's jumps keep apart
+# TIE_EPS only (0.16 * (1 + 1e-12) against 0.4**2), where the levels and the
+# jumps of the counting function both merge weights that differ
 GENERATOR_ALPHABETS = [
     make_explicit((0.5, 0.3), 0.2),
     make_explicit((0.45, 0.25, 0.12), 0.18),
@@ -374,9 +374,10 @@ class TestLevelGenerator:
     def test_weight_events_match_product_groups(self, al):
         wv = log_weights(al)
         x = 8.0
+        tie = Fraction(TIE_EPS)
         expected = []
         cum = 0
-        for w, words, _points in product_levels(wv, Fraction(x), 0):
+        for w, words, _points in product_levels(wv, Fraction(x) + tie, tie):
             cum += words
             expected.append((float(w), cum))
         assert weight_events(wv, x) == expected
@@ -396,12 +397,24 @@ class TestLevelGenerator:
         shuffled = WeightVector(wv.weights[1:] + wv.weights[:1])
         assert weight_events(shuffled, 8.0) == weight_events(wv, 8.0)
 
-    def test_near_ties_merge_in_levels_only(self):
+    @pytest.mark.parametrize("al", GENERATOR_ALPHABETS, ids=GENERATOR_IDS)
+    def test_every_event_is_a_q_value(self, al):
+        wv = log_weights(al)
+        events = weight_events(wv, 8.0)
+        assert len(events) > 5
+        for x, q in events:
+            assert q == q_tilde_direct(wv, x)
+
+    def test_near_ties_merge_in_both(self):
         al = GENERATOR_ALPHABETS[-1]
-        events = weight_events(log_weights(al), 8.0)
+        wv = log_weights(al)
+        events = weight_events(wv, 8.0)
         table = enumerate_levels(al, max_weight=8.0)
         assert table.max_rank == events[-1][1]
-        assert len(table) < len(events)
+        assert len(table) == len(events)
+        assert events == [(lv.weight, lv.rank_hi) for lv in table]
+        exact = product_levels(wv, Fraction(8.0) + Fraction(TIE_EPS), 0)
+        assert len(events) < len(exact)  # the near ties did merge
 
     def test_uniform_budget_rule(self):
         # the closed form keeps level m iff the comb(m+3, 3) lattice points
@@ -432,7 +445,8 @@ class TestLevelGenerator:
 
     def test_weight_events_budget_counts_pops(self):
         wv = log_weights(GENERATOR_ALPHABETS[1])
-        points = sum(p for _w, _words, p in product_levels(wv, Fraction(6), 0))
+        bound = Fraction(6) + Fraction(TIE_EPS)
+        points = sum(p for _w, _words, p in product_levels(wv, bound, 0))
         assert len(weight_events(wv, 6.0, node_budget=points)) > 0
         with pytest.raises(ResourceGuardError, match="ZIPFMONKEY_NODE_BUDGET"):
             weight_events(wv, 6.0, node_budget=points - 1)

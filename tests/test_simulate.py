@@ -174,6 +174,20 @@ class TestEmpiricalRankFreq:
         with pytest.raises(ValueError):
             empirical_rank_freq(FrequencyTable({}, 0))
 
+    def test_bare_counts(self):
+        # any iterable of counts, one per distinct word, in any order
+        expected = ((1, 0.375), (2, 0.25), (3, 0.25), (4, 0.125))
+        assert empirical_rank_freq([1, 3, 2, 2]).points == expected
+        assert empirical_rank_freq(iter((2, 1, 2, 3))).points == expected
+        assert empirical_rank_freq({"a": 2, "b": 6}.values()).points == ((1, 0.75), (2, 0.25))
+        with pytest.raises(ValueError, match="empty"):
+            empirical_rank_freq([])
+
+    @pytest.mark.parametrize("counts", [[3, 0], [0], [5, -1, 2], [-2]])
+    def test_non_positive_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="positive"):
+            empirical_rank_freq(counts)
+
     def test_level_plateaus(self):
         # empirical frequencies at the ranks of an exact level hover around
         # that level's probability

@@ -43,7 +43,6 @@ from .simulate import (
     RankFrequency,
     empirical_rank_freq,
     generate_words,
-    merge_tables,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +72,6 @@ __all__ = [
     "make_explicit",
     "make_gusein_zade",
     "make_uniform",
-    "merge_tables",
     "multinomial",
     "ols_loglog",
     "oracle_rank_of_probability",

@@ -10,6 +10,7 @@ downstream identities can rely on the sum being 1 to machine precision.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -139,8 +140,13 @@ def make_gusein_zade(n: int, p0: float) -> Alphabet:
         raise ValueError(f"alphabet needs at least 2 letters, got {n}")
     if not 0.0 <= p0 < 1.0:
         raise ValueError(f"space probability must be in [0, 1), got {p0}")
-    # H(n) - H(i-1) summed directly as 1/i + ... + 1/n for accuracy
-    weights = [math.fsum(1.0 / j for j in range(i, n + 1)) for i in range(1, n + 1)]
+    # H(n) - H(i-1) as the correctly rounded sum of the floats 1/i, ..., 1/n:
+    # on one power-of-two denominator the suffix sums are exact integers,
+    # and integer true division rounds once, as fsum would
+    terms = [(1.0 / j).as_integer_ratio() for j in range(n, 0, -1)]
+    denom = max(d for _num, d in terms)
+    sums = itertools.accumulate(num * (denom // d) for num, d in terms)
+    weights = [s / denom for s in sums][::-1]
     total = math.fsum(weights)  # equals n up to rounding
     probs = tuple((1.0 - p0) * w / total for w in weights)
     return make_explicit(probs, p0)

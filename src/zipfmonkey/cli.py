@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from typing import Sequence
 
 from . import alphabet as alphabet_mod
@@ -191,16 +192,12 @@ def _cmd_simulate(args) -> int:
         skip_empty=args.skip_empty,
         word_cap=_word_cap(),
     )
-    # (-count, word) pairs: most frequent first, ties in lexicographic word order
-    ranked = sorted(zip([-c for c in table.entries.values()], table.entries))
     lines = [
         "# format: v1 word_count",
         f"# n_words={table.total_words} seed={seed} streams={args.streams}",
         "# columns: word\tcount",
     ]
-    lines += [
-        f"{simulate.render_word(w, al.labels, EPS_TOKEN)}\t{-c}" for c, w in ranked
-    ]
+    lines += [f"{w}\t{c}" for w, c in simulate.word_rows(table, al.labels, EPS_TOKEN)]
     _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -287,13 +284,14 @@ def _cmd_compare(args) -> int:
 
 
 def _tokenize_words(text: str, fold_case: bool = True) -> dict[str, int]:
+    """Letters-only words per whitespace token; each distinct token is filtered once."""
     counts: dict[str, int] = {}
-    for token in text.split():
+    for token, c in Counter(text.split()).items():
         word = "".join(ch for ch in token if ch.isalpha())
         if fold_case:
             word = word.lower()
         if word:
-            counts[word] = counts.get(word, 0) + 1
+            counts[word] = counts.get(word, 0) + c
     return counts
 
 

@@ -298,9 +298,10 @@ def _iter_levels(
     """Yield (weight, word_count) per level of the word list, by weight.
 
     A level is complete when yielded: it opens at a lattice point of weight
-    w0 and closes at the first popped point heavier than w0 + TIE_EPS, or
-    when the lattice up to x + TIE_EPS runs out.  With x None the lattice
-    is unbounded and the caller must stop consuming.
+    w0 and closes at the first popped point heavier than w0 + TIE_EPS.  With
+    a bound, levels open up to x + TIE_EPS, so points are pushed up to
+    x + 2 * TIE_EPS and the walk ends at the first level opening beyond.
+    With x None the lattice is unbounded and the caller must stop consuming.
 
     A composition is walked as its nondecreasing letter sequence over the
     letters sorted by weight.  A node (w, words, j, m_j, length) ends in
@@ -323,6 +324,7 @@ def _iter_levels(
             m += 1
         return
     W = sorted(W)
+    reach = None if T is None else T + tie  # the last level's own tie
     heap = [(0, 1, 0, 0, 0)]
     pops = 0
     start = count = 0
@@ -330,17 +332,19 @@ def _iter_levels(
         w, words, j, m, length = heapq.heappop(heap)
         if w - start > tie:
             yield start / denom, count
+            if T is not None and w > T:
+                return
             start, count = w, 0
         count += words
         pops += 1
         if pops > budget:
             raise _over_budget(budget, w / denom)
         child = (w + W[j], words * (length + 1) // (m + 1), j, m + 1, length + 1)
-        if T is None or child[0] <= T:
+        if reach is None or child[0] <= reach:
             heapq.heappush(heap, child)
         if m and j + 1 < n:
             child = (w - W[j] + W[j + 1], words * m, j + 1, 1, length)
-            if T is None or child[0] <= T:
+            if reach is None or child[0] <= reach:
                 heapq.heappush(heap, child)
     yield start / denom, count
 

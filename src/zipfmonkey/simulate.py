@@ -8,37 +8,42 @@ characters and splitting on spaces, and it makes "exactly word_count
 words" trivially true.
 
 Generation is vectorized with numpy and driven by PCG64; numpy is imported
-inside the two functions that draw words, so importing this module (and
-with it the package and the CLI) does not load it.  A fixed
+inside the function that draws words, so importing this module (and with
+it the package and the CLI) does not load it.  A fixed
 (alphabet, word_count, seed, streams) quadruple reproduces the same table
 within one build.  Multiple streams partition the word count across
-generators spawned from one SeedSequence, so partial tables merge by plain
-count addition.
+generators spawned from one SeedSequence, and every stream adds its words
+to one counter.
 
-Each stream draws all word lengths, then all letters in one call.  Counting
-groups the words by length with one sort.  A length-m word over n letters
-whose base-n code fits in int64 (n**m <= 2**63) is counted as that code,
-and only the distinct codes are decoded back to letter tuples; longer words
-fall back to counting unique letter rows.  The RNG stream, and hence the
-table, does not depend on how the words are counted.
+A word is a str from the draw to the output: letter i is the code point
+i + 1, so words sort like their letter-index tuples and the empty word is
+"".  Each stream draws all word lengths, then all letters in one call,
+writes them as code points with a 0 after each word, decodes them once and
+counts the words in blocks, so no list of all words is held.  The table
+does not depend on how the words are counted.  The encoding allows at most
+sys.maxunicode letters.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .alphabet import Alphabet
 from .errors import ResourceGuardError
 
-Word = tuple[int, ...]
+Word = str  # letter i is chr(i + 1)
 
 DEFAULT_WORD_CAP = 10**8
+
+_BLOCK_WORDS = 1 << 16  # words split and counted at a time
 
 
 @dataclass
 class FrequencyTable:
-    """Occurrence counts per word (tuple of letter indices)."""
+    """Occurrence counts per word (letter i is the code point i + 1)."""
 
     entries: dict[Word, int]
     total_words: int
@@ -75,12 +80,12 @@ class RankFrequency:
 
 
 def _generate_stream(
-    alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int
-) -> dict[Word, int]:
+    alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int, counts: Counter
+) -> None:
+    """Draw count words and add them to counts."""
     import numpy as np
 
     p0 = alphabet.space_prob
-    n = alphabet.n
     lengths = rng.geometric(p0, size=count) - 1  # letters before the space
     n_letters = int(lengths.sum(dtype=object))  # Python ints: no overflow for a tiny p0
     if n_letters > word_cap:
@@ -89,37 +94,20 @@ def _generate_stream(
             "raise ZIPFMONKEY_WORD_CAP to allow more"
         )
     letter_probs = np.asarray(alphabet.letter_probs) / (1.0 - p0)
-    letters = rng.choice(n, size=n_letters, p=letter_probs)
-    starts = np.cumsum(lengths) - lengths
-
-    counts: dict[Word, int] = {}
-    order = np.argsort(lengths, kind="stable")
-    for sel in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        m = int(lengths[sel[0]])
-        first = starts[sel]
-        # codes stay below n**m <= 2**63; m < 64 is implied (n >= 2) and skips a huge n**m
-        if m < 64 and n**m <= 2**63:
-            codes = np.zeros(len(sel), dtype=np.int64)
-            for j in range(m):
-                codes = codes * n + letters[first + j]
-            uniq, cnt = np.unique(codes, return_counts=True)
-            rows = uniq[:, None] // np.power(n, np.arange(m - 1, -1, -1)) % n
-        else:
-            rows = letters[first[:, None] + np.arange(m)]
-            rows, cnt = np.unique(rows, axis=0, return_counts=True)
-        counts.update(zip(map(tuple, rows.tolist()), cnt.tolist()))
-    return counts
-
-
-def merge_tables(tables: Iterable[FrequencyTable]) -> FrequencyTable:
-    """Combine partial tables; count addition is associative and commutative."""
-    entries: dict[Word, int] = {}
-    total = 0
-    for t in tables:
-        total += t.total_words
-        for w, c in t.entries.items():
-            entries[w] = entries.get(w, 0) + c
-    return FrequencyTable(entries, total)
+    letters = rng.choice(alphabet.n, size=n_letters, p=letter_probs)
+    letters += 1
+    ends = np.cumsum(lengths + 1) - 1  # offset of the 0 after each word
+    is_letter = np.ones(n_letters + count, dtype=bool)
+    is_letter[ends] = False
+    codes = np.zeros(n_letters + count, dtype="<u4")
+    codes[is_letter] = letters
+    del letters, is_letter
+    text = codes.tobytes().decode("utf-32-le", "surrogatepass")
+    del codes
+    start = 0
+    for stop in ends[_BLOCK_WORDS - 1 : -1 : _BLOCK_WORDS].tolist() + [len(text) - 1]:
+        counts.update(text[start:stop].split("\0"))
+        start = stop + 1
 
 
 def generate_words(
@@ -146,6 +134,8 @@ def generate_words(
         raise ValueError(f"word_count {word_count} exceeds the cap {word_cap}")
     if streams < 1:
         raise ValueError(f"streams must be positive, got {streams}")
+    if alphabet.n > sys.maxunicode:  # letter i is encoded as the code point i + 1
+        raise ValueError(f"simulation allows at most {sys.maxunicode} letters, got {alphabet.n}")
 
     import numpy as np
 
@@ -153,16 +143,13 @@ def generate_words(
     # get a word leaves every drawn stream as it was
     children = np.random.SeedSequence(seed).spawn(min(streams, word_count))
     base, extra = divmod(word_count, len(children))
-    parts = []
+    counts: Counter[Word] = Counter()
     for i, child in enumerate(children):
-        cnt = base + (1 if i < extra else 0)
         rng = np.random.Generator(np.random.PCG64(child))
-        parts.append(FrequencyTable(_generate_stream(alphabet, cnt, rng, word_cap), cnt))
-    table = parts[0] if len(parts) == 1 else merge_tables(parts)
-    if skip_empty and () in table.entries:
-        dropped = table.entries.pop(())
-        table.total_words -= dropped
-    return table
+        _generate_stream(alphabet, base + (i < extra), rng, word_cap, counts)
+    if skip_empty:
+        word_count -= counts.pop("", 0)
+    return FrequencyTable(counts, word_count)
 
 
 def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
@@ -182,8 +169,12 @@ def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
     return RankFrequency(tuple((i + 1, c / total) for i, c in enumerate(ranked)))
 
 
-def render_word(word: Sequence[int], labels: Sequence[str], empty_token: str = "<EPS>") -> str:
-    """Human-readable word; the empty word gets an explicit token."""
-    if not word:
-        return empty_token
-    return "".join(labels[i] for i in word)
+def word_rows(
+    table: FrequencyTable, labels: Sequence[str], empty_token: str = "<EPS>"
+) -> Iterator[tuple[str, int]]:
+    """(rendered word, count) rows: most frequent first, ties in letter-index
+    order; the empty word is rendered as empty_token."""
+    ranked = sorted(zip([-c for c in table.entries.values()], table.entries))
+    to_labels = dict(enumerate(labels, 1))
+    for c, w in ranked:
+        yield (w.translate(to_labels) if w else empty_token), -c

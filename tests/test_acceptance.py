@@ -234,9 +234,9 @@ def test_criterion_8_simulation_model_consistency(million_word_table):
         margins.append(abs(freq - p) / se)
         assert abs(freq - p) <= 4 * se, (word, freq, p)
 
-    check((), alphabet.space_prob)
+    check("", alphabet.space_prob)
     for i, p_letter in enumerate(alphabet.letter_probs):
-        check((i,), p_letter * alphabet.space_prob)
+        check(chr(i + 1), p_letter * alphabet.space_prob)  # letter i is the code point i + 1
     report(8, "simulation consistency",
            f"empty word and {alphabet.n} single letters within 4 SE "
            f"(worst {max(margins):.2f} SE)")

@@ -16,7 +16,7 @@ from zipfmonkey import (
     make_gusein_zade,
     make_uniform,
 )
-from zipfmonkey.simulate import render_word
+from zipfmonkey.simulate import word_rows
 
 
 class TestMakeUniform:
@@ -69,6 +69,15 @@ class TestGuseinZade:
         for i in range(1, n + 1):
             exact = (1.0 - p0) * float((harmonic[n] - harmonic[i - 1]) / n)
             assert abs(al.letter_probs[i - 1] - exact) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 26, 400, 2000])
+    def test_bit_identical_to_fsum_of_terms(self, n):
+        # the quadratic formula the suffix sums replaced: each H(n) - H(i-1)
+        # is the fsum of the float terms 1/i, ..., 1/n
+        weights = [math.fsum(1.0 / j for j in range(i, n + 1)) for i in range(1, n + 1)]
+        total = math.fsum(weights)
+        probs = tuple((1.0 - 0.18) * w / total for w in weights)
+        assert make_gusein_zade(n, 0.18) == make_explicit(probs, 0.18)
 
     @pytest.mark.parametrize("n,p0", [(2, 0.0), (7, 0.1), (26, 1 / 27), (40, 0.3)])
     def test_normalization_identity(self, n, p0):
@@ -152,8 +161,8 @@ class TestEstimateFromCorpus:
         true = make_explicit((0.45, 0.25, 0.12), 0.18)
         table = generate_words(true, 150_000, seed=20260808)
         pieces = []
-        for word, count in table.entries.items():
-            pieces.extend([render_word(word, true.labels, "")] * count)
+        for word, count in word_rows(table, true.labels, ""):
+            pieces.extend([word] * count)
         # joining with single spaces reconstructs a character stream of the
         # model, empty words included as consecutive spaces
         text = " ".join(pieces)

@@ -29,6 +29,7 @@ from zipfmonkey import (
     solve_gamma,
     weight_events,
 )
+from zipfmonkey import cli as cli_mod
 from zipfmonkey.cli import main
 
 
@@ -336,6 +337,34 @@ class TestIngest:
         code, out, _ = run(capsys, "fit", "--in", str(ranks), "--window", "1", "26")
         assert code == 0
         assert float(kv(out)["slope"]) < 0
+
+
+def tokenize_per_occurrence(text, fold_case=True):
+    """The tokenizer as first written: every token occurrence filtered anew."""
+    counts = {}
+    for token in text.split():
+        word = "".join(ch for ch in token if ch.isalpha())
+        if fold_case:
+            word = word.lower()
+        if word:
+            counts[word] = counts.get(word, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("fold_case", [True, False])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "The cat sat.  The cat ran!\nThe end. the",
+        "İstanbul istanbul İSTANBUL i̇stanbul",
+        "Straße STRASSE straße strasse ẞ",
+        "r2d2 R2D2 42 4x4 -- ... ¿qué? qué",
+        "",
+    ],
+    ids=["ascii", "dotted-capital-i", "sharp-s", "digits-punctuation", "empty"],
+)
+def test_tokenize_counts_each_distinct_token_once(text, fold_case):
+    assert cli_mod._tokenize_words(text, fold_case) == tokenize_per_occurrence(text, fold_case)
 
 
 class TestExitCodes:

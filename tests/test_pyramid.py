@@ -416,6 +416,26 @@ class TestLevelGenerator:
         exact = product_levels(wv, Fraction(8.0) + Fraction(TIE_EPS), 0)
         assert len(events) < len(exact)  # the near ties did merge
 
+    def test_last_level_keeps_its_tie_above_the_bound(self):
+        # "b" and "aa" differ by 1e-12 nats and x_max + TIE_EPS falls between
+        # them: the last level opens at "b", so "aa" belongs to it
+        al = make_explicit((0.4, 0.16 * (1 + 1e-12)), 0.44 - 0.16e-12)
+        wv = log_weights(al)
+        a, b = sorted(wv.weights)
+        assert 0 < 2 * a - b < TIE_EPS
+        x_max = (b + 2 * a) / 2 - TIE_EPS
+        x, q = weight_events(wv, x_max)[-1]
+        assert x == b
+        assert q == q_tilde_direct(wv, x) == 4
+        last = enumerate_levels(al, max_weight=x_max)[-1]
+        assert last == enumerate_levels(al, max_rank=4)[-1]
+        assert last.word_count == 2
+        # a level opening within TIE_EPS above x_max + TIE_EPS stays out
+        events = weight_events(wv, 3.0)
+        x_max = events[-1][0] - 1.5 * TIE_EPS
+        assert weight_events(wv, x_max) == events[:-1]
+        assert len(enumerate_levels(al, max_weight=x_max)) == len(events) - 1
+
     def test_uniform_budget_rule(self):
         # the closed form keeps level m iff the comb(m+3, 3) lattice points
         # through it fit in the budget

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -17,10 +18,10 @@ from zipfmonkey import (
     make_explicit,
     make_gusein_zade,
     make_uniform,
-    merge_tables,
 )
+from zipfmonkey import simulate
 from zipfmonkey.cli import main
-from zipfmonkey.simulate import _generate_stream
+from zipfmonkey.simulate import _generate_stream, word_rows
 
 N_WORDS = 100_000
 SEED = 20260808
@@ -46,22 +47,22 @@ class TestGenerateWords:
 
     def test_empty_word_frequency(self, skewed_table):
         # P(empty) = p0
-        freq = skewed_table.entries.get((), 0) / N_WORDS
+        freq = skewed_table.entries.get("", 0) / N_WORDS
         se = math.sqrt(0.2 * 0.8 / N_WORDS)
         assert abs(freq - 0.2) <= 4 * se
 
     def test_single_letter_frequencies(self, skewed_table):
-        # P(word "a") = p_a * p0
+        # P(word "a") = p_a * p0; letter i is the code point i + 1
         for idx, p in enumerate((0.6, 0.2)):
             expected = p * 0.2
-            freq = skewed_table.entries.get((idx,), 0) / N_WORDS
+            freq = skewed_table.entries.get(chr(idx + 1), 0) / N_WORDS
             se = math.sqrt(expected * (1 - expected) / N_WORDS)
             assert abs(freq - expected) <= 4 * se
 
     def test_fixed_word_model_probability(self, skewed_table):
         # P("ab") = p_a * p_b * p0
         expected = 0.6 * 0.2 * 0.2
-        freq = skewed_table.entries.get((0, 1), 0) / N_WORDS
+        freq = skewed_table.entries.get("\x01\x02", 0) / N_WORDS
         se = math.sqrt(expected * (1 - expected) / N_WORDS)
         assert abs(freq - expected) <= 4 * se
 
@@ -75,7 +76,7 @@ class TestGenerateWords:
     def test_skip_empty(self):
         al = make_uniform(2, 0.5)
         table = generate_words(al, 10_000, seed=3, skip_empty=True)
-        assert () not in table.entries
+        assert "" not in table.entries
         assert table.total_words == sum(table.entries.values())
         assert table.total_words < 10_000  # half the draws are empty
 
@@ -109,7 +110,7 @@ def _reference_counts(alphabet, count, seed):
     counts = Counter()
     start = 0
     for m in lengths:
-        counts[tuple(letters[start:start + m])] += 1
+        counts["".join(chr(i + 1) for i in letters[start:start + m])] += 1
         start += m
     return counts
 
@@ -118,14 +119,34 @@ class TestCounting:
     @pytest.mark.parametrize(
         "alphabet, count",
         [
-            (make_gusein_zade(5, 0.18), 50_000),  # nearly every word fits a code
+            (make_gusein_zade(5, 0.18), 50_000),  # short words, many repeats
             (make_uniform(2, 0.02), 5_000),  # many words past 63 letters
-            (_corpus_alphabet(), 20_000),  # codes up to 7 letters, rows beyond
+            (_corpus_alphabet(), 20_000),  # 300 letters, past one byte
         ],
     )
     def test_matches_word_by_word_count(self, alphabet, count):
-        got = _generate_stream(alphabet, count, np.random.default_rng(11), 10**8)
+        got = Counter()
+        _generate_stream(alphabet, count, np.random.default_rng(11), 10**8, got)
         assert got == _reference_counts(alphabet, count, 11)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 5000])
+    def test_counting_blocks_do_not_change_counts(self, monkeypatch, block):
+        # 5000 words: ragged last block, whole blocks, and one block
+        monkeypatch.setattr(simulate, "_BLOCK_WORDS", block)
+        alphabet = make_gusein_zade(5, 0.18)
+        got = Counter()
+        _generate_stream(alphabet, 5000, np.random.default_rng(11), 10**8, got)
+        assert got == _reference_counts(alphabet, 5000, 11)
+
+    def test_streams_add_to_one_table(self):
+        al = make_uniform(3, 0.25)
+        children = np.random.SeedSequence(7).spawn(3)
+        expected = Counter()
+        for child, count in zip(children, (334, 333, 333)):
+            expected += _reference_counts(al, count, np.random.PCG64(child))
+        table = generate_words(al, 1000, seed=7, streams=3)
+        assert table.entries == expected
+        assert table.total_words == 1000
 
     @pytest.mark.parametrize(
         "streams, digest",
@@ -142,33 +163,74 @@ class TestCounting:
         assert code == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--uniform", "30", "--p0", "0.2", "--n-words", "20000"),
+                "11870996d1d05709cf72a2665f69c2a966ac7e4d0d711bf79945a89d02ebf46d",
+            ),
+            (
+                ("--uniform", "60000", "--p0", "0.3", "--n-words", "2000"),
+                "89090994000019bcc0572620bf1a9c44df30bbea5a020f3667fa69089d7aade2",
+            ),
+        ],
+        ids=["u30-three-char-labels", "u60000-surrogate-code-points"],
+    )
+    def test_wide_alphabet_rows_pinned(self, capsys, argv, digest):
+        # data rows as printed before words became code-point strings
+        code = main(["simulate", *argv, "--seed", "5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        rows = "".join(line + "\n" for line in out.splitlines() if not line.startswith("#"))
+        assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
-class TestMergeTables:
-    def test_merge_adds_counts(self):
-        a = FrequencyTable({(0,): 2, (): 1}, 3)
-        b = FrequencyTable({(0,): 1, (1,): 4}, 5)
-        merged = merge_tables([a, b])
-        assert merged.entries == {(0,): 3, (): 1, (1,): 4}
-        assert merged.total_words == 8
+    def test_more_letters_than_code_points_exit_2(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew words")
 
+        monkeypatch.setattr(simulate, "_generate_stream", no_draw)
+        code = main([
+            "simulate", "--uniform", str(sys.maxunicode + 1), "--p0", "0.5",
+            "--n-words", "10", "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(sys.maxunicode) in err
+        assert "Traceback" not in err
+
+
+class TestWordRows:
+    def test_order_and_labels(self):
+        table = FrequencyTable({"\x02": 2, "\x01\x02": 2, "": 1, "\x01": 2, "\x03": 3}, 10)
+        rows = list(word_rows(table, ("zy", "x", "w"), "<E>"))
+        # most frequent first; ties in letter-index order (a prefix first),
+        # not in the order of the rendered labels
+        assert rows == [("w", 3), ("zy", 2), ("zyx", 2), ("x", 2), ("<E>", 1)]
+
+    def test_default_empty_token(self):
+        assert list(word_rows(FrequencyTable({"": 4}, 4), ("a", "b"))) == [("<EPS>", 4)]
+
+
+class TestFrequencyTable:
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
-            FrequencyTable({(0,): 2}, 3)
+            FrequencyTable({"\x01": 2}, 3)
 
 
 class TestEmpiricalRankFreq:
     def test_single_word(self):
-        rf = empirical_rank_freq(FrequencyTable({(0,): 5}, 5))
+        rf = empirical_rank_freq(FrequencyTable({"\x01": 5}, 5))
         assert rf.points == ((1, 1.0),)
 
     def test_two_words(self):
-        rf = empirical_rank_freq(FrequencyTable({(0,): 3, (1,): 1}, 4))
+        rf = empirical_rank_freq(FrequencyTable({"\x01": 3, "\x02": 1}, 4))
         assert rf.points == ((1, 0.75), (2, 0.25))
 
     def test_tie_break_lexicographic(self):
-        rf = empirical_rank_freq(FrequencyTable({(1,): 2, (0,): 2, (): 2}, 6))
+        rf = empirical_rank_freq(FrequencyTable({"\x02": 2, "\x01": 2, "": 2}, 6))
         assert [f for _r, f in rf.points] == [pytest.approx(1 / 3)] * 3
-        # ranks follow word order: (), (0,), (1,)
+        # ranks follow word order: "", "\x01", "\x02"
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):

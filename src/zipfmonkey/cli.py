@@ -70,16 +70,20 @@ def _resolve_alphabet(args) -> alphabet_mod.Alphabet:
     if args.alphabet is not None:
         with open(args.alphabet, encoding="utf-8") as fh:
             return alphabet_mod.loads(fh.read())
-    if args.uniform is not None:
-        if args.p0 is None:
-            raise UsageError("--uniform requires --p0")
-        return alphabet_mod.make_uniform(args.uniform, args.p0)
-    if args.gusein_zade is not None:
-        if args.p0 is None:
-            raise UsageError("--gusein-zade requires --p0")
-        return alphabet_mod.make_gusein_zade(args.gusein_zade, args.p0)
-    with open(args.corpus, encoding="utf-8") as fh:
-        return alphabet_mod.estimate_from_corpus(fh.read())
+    if args.corpus is not None:
+        with open(args.corpus, encoding="utf-8") as fh:
+            return alphabet_mod.estimate_from_corpus(fh.read())
+    uniform = args.uniform is not None
+    flag, n = ("--uniform", args.uniform) if uniform else ("--gusein-zade", args.gusein_zade)
+    if args.p0 is None:
+        raise UsageError(f"{flag} requires --p0")
+    budget = _node_budget()
+    if n > budget:  # refused before any letter is built
+        raise ResourceGuardError(
+            f"{flag} {n} letters exceed the node budget {budget}; "
+            "raise ZIPFMONKEY_NODE_BUDGET to allow more"
+        )
+    return (alphabet_mod.make_uniform if uniform else alphabet_mod.make_gusein_zade)(n, args.p0)
 
 
 def _write_output(args, text: str) -> None:

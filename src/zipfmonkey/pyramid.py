@@ -8,23 +8,23 @@ hence one probability p0 * exp(-w(k)).  The counting function
     Q(x) = number of words with weight <= x   (empty word included)
 
 is evaluated here three independent ways: by a walk over the admissible
-lattice region with tied letters grouped (q_tilde_direct, which answers
-rank_of_probability), by memoized recursion on the functional equation
+lattice region (q_tilde_direct, which answers rank_of_probability), by
+memoized recursion on the functional equation
 Q(x) = Q(x - L_1) + ... + Q(x - L_n) + step(x) (q_tilde_recursive, the
 cross-check), and by one best-first level generator behind enumerate_levels
-and weight_events.  The generator walks the compositions as nondecreasing
-letter sequences with two successors per node (append the last letter, or
-bump it to the next one), the sorted-sums frontier of Frederickson and
-Johnson, so its heap holds at most one node per pop.
+and weight_events.  Both walks group letters of exactly equal weight: g
+letters in k slots make g**k words.  The generator walks multisets of
+groups as nondecreasing group sequences with two successors per node
+(append the last group, or bump it to the next), the sorted-sums frontier
+of Frederickson and Johnson, so its heap holds at most one node per pop.
 
 All weight comparisons run in exact integer arithmetic.  Every float is a
 dyadic rational, so weights and thresholds mapped onto a common
 power-of-two denominator (_grid) become integers; lattice sums then never
-suffer rounding, and for equal weights (uniform alphabets) level indices
-are exact integer multiples by construction.  One tie rule holds
-everywhere: weights within TIE_EPS are one level, and a query at x (or a
-bound x_max) counts every point up to x + TIE_EPS, so levels, the jumps of
-Q and rank queries group words identically.
+suffer rounding, and tie groups are found by exact equality.  One tie
+rule holds everywhere: weights within TIE_EPS are one level, and a query
+at x (or a bound x_max) counts every point up to x + TIE_EPS, so levels,
+the jumps of Q and rank queries group words identically.
 Counts are Python ints throughout: the counting function grows like
 exp(gamma * x) and leaves 64-bit range almost immediately.
 
@@ -303,49 +303,44 @@ def _iter_levels(
     x + 2 * TIE_EPS and the walk ends at the first level opening beyond.
     With x None the lattice is unbounded and the caller must stop consuming.
 
-    A composition is walked as its nondecreasing letter sequence over the
-    letters sorted by weight.  A node (w, words, j, m_j, length) ends in
-    m_j copies of letter j and has two children: append j, and (if m_j > 0)
-    bump the last j to j+1.  Every composition has one parent and weights
-    never decrease along an edge, so the heap holds at most pops + 1 nodes.
+    A multiset k of tie groups (sizes g_j, by weight) is walked as its
+    nondecreasing group sequence.  A node (w, words, j, m, length, points)
+    ends in m copies of group j and stands for prod C(k_j + g_j - 1, k_j)
+    lattice points and multinomial(k) * prod g_j**k_j words.  Its children:
+    append j, and (if m > 0) bump the last j to j+1.  Every multiset has one
+    parent and weights never decrease along an edge, so the heap holds at
+    most pops + 1 nodes; n equal letters make one node per word length.
     ResourceGuardError is raised once more than budget lattice points have
     been popped through the open level; the levels before it are yielded.
     """
     W, T, tie, denom = _grid(weights, x)
-    n = len(W)
-    if all(w == W[0] for w in W):
-        # equal weights: level m holds n**m words at m * W[0], and the
-        # lattice through it has comb(m + n, n) points
-        m = 0
-        while T is None or m * W[0] <= T:
-            if math.comb(m + n, n) > budget:
-                raise _over_budget(budget, m * W[0] / denom)
-            yield m * W[0] / denom, n**m
-            m += 1
-        return
-    W = sorted(W)
-    reach = None if T is None else T + tie  # the last level's own tie
-    heap = [(0, 1, 0, 0, 0)]
-    pops = 0
-    start = count = 0
+    w, g = zip(*sorted(Counter(W).items()))
+    last = len(w) - 1
+    reach = math.inf if T is None else T + tie  # the last level's own tie
+    heap = [(0, 1, 0, 0, 0, 1)]
+    popped = start = count = 0
     while heap:
-        w, words, j, m, length = heapq.heappop(heap)
-        if w - start > tie:
+        wt, words, j, m, length, points = heapq.heappop(heap)
+        if wt - start > tie:
             yield start / denom, count
-            if T is not None and w > T:
+            if T is not None and wt > T:
                 return
-            start, count = w, 0
+            start, count = wt, 0
         count += words
-        pops += 1
-        if pops > budget:
-            raise _over_budget(budget, w / denom)
-        child = (w + W[j], words * (length + 1) // (m + 1), j, m + 1, length + 1)
-        if reach is None or child[0] <= reach:
-            heapq.heappush(heap, child)
-        if m and j + 1 < n:
-            child = (w - W[j] + W[j + 1], words * m, j + 1, 1, length)
-            if reach is None or child[0] <= reach:
-                heapq.heappush(heap, child)
+        popped += points
+        if popped > budget:
+            raise _over_budget(budget, wt / denom)
+        gj = g[j]
+        child = wt + w[j]
+        if child <= reach:
+            heapq.heappush(heap, (child, words * (length + 1) // (m + 1) * gj, j, m + 1,
+                                  length + 1, points * (m + gj) // (m + 1)))
+        if m and j < last:
+            child = wt - w[j] + w[j + 1]
+            if child <= reach:
+                gk = g[j + 1]
+                heapq.heappush(heap, (child, words * m // gj * gk, j + 1, 1, length,
+                                      points * m // (m + gj - 1) * gk))
     yield start / denom, count
 
 

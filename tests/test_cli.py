@@ -395,6 +395,40 @@ class TestExitCodes:
         assert "ZIPFMONKEY_NODE_BUDGET" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["--uniform", "--gusein-zade"])
+    @pytest.mark.parametrize("command, options", [
+        ("gamma", []),
+        ("levels", ["--max-rank", "10"]),
+        ("qfun", ["--x-max", "3"]),
+        ("certify", ["--x-max", "3"]),
+        ("simulate", ["--n-words", "10", "--seed", "1"]),
+        ("compare", ["--in", "ranks.tsv"]),
+    ])
+    def test_alphabet_above_node_budget_exits_3_unbuilt(
+        self, capsys, monkeypatch, tmp_path, source, command, options
+    ):
+        def no_build(*args):
+            raise AssertionError("built the alphabet")
+
+        monkeypatch.chdir(tmp_path)
+        Path("ranks.tsv").write_text("".join(f"{r}\t{1.0 / r}\n" for r in range(1, 20)))
+        monkeypatch.setattr(am, "make_uniform", no_build)
+        monkeypatch.setattr(am, "make_gusein_zade", no_build)
+        code, _, err = run(capsys, command, source, str(10**12), "--p0", "0.5", *options)
+        assert code == 3
+        assert "node budget 10000000" in err
+        assert "ZIPFMONKEY_NODE_BUDGET" in err
+        assert "Traceback" not in err
+
+    def test_alphabet_size_limit_is_the_node_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", "30")
+        assert run(capsys, "gamma", "--gusein-zade", "30", "--p0", "0.2")[0] == 0
+        code, _, err = run(capsys, "gamma", "--gusein-zade", "31", "--p0", "0.2")
+        assert code == 3
+        assert "budget 30" in err
+        monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", "abc")
+        assert run(capsys, "gamma", "--uniform", "3", "--p0", "0.2")[0] == 2
+
     def test_levels_truncation_names_its_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", "500")
         code, out, _ = run(
@@ -648,7 +682,7 @@ def cli_argv(draw, paths):
     if command in ALPHABET_COMMANDS:
         source = draw(st.sampled_from(["--uniform", "--gusein-zade", "--alphabet", "--corpus", None]))
         if source in ("--uniform", "--gusein-zade"):
-            argv += [source, draw(odd_or(["2", "3", "26", "50", "x"]))]
+            argv += [source, draw(odd_or(["2", "3", "26", "50", str(10**12), "x"]))]
         elif source is not None:
             argv += [source, draw(paths[source.lstrip("-")])]
         if draw(st.integers(0, 7)):

@@ -1,5 +1,6 @@
 """Lattice counting, levels, and the envelope certificate."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -356,17 +357,21 @@ def product_levels(wv, bound, tie):
     return [tuple(lv) for lv in levels]
 
 
-# untied, exactly tied (0.25 = 0.5**2; two equal letters), and tied within
-# TIE_EPS only (0.16 * (1 + 1e-12) against 0.4**2), where the levels and the
-# jumps of the counting function both merge weights that differ
+# untied, exactly tied (0.25 = 0.5**2; two equal letters), a tied group
+# bumping into a single letter and two tied groups (the generator walks each
+# group as one node), and tied within TIE_EPS only (0.16 * (1 + 1e-12)
+# against 0.4**2), where the levels and the jumps of the counting function
+# both merge weights that differ
 GENERATOR_ALPHABETS = [
     make_explicit((0.5, 0.3), 0.2),
     make_explicit((0.45, 0.25, 0.12), 0.18),
     make_explicit((0.5, 0.25), 0.25),
     make_explicit((0.4, 0.2, 0.2), 0.2),
+    make_explicit((0.3, 0.3, 0.15), 0.25),
+    make_explicit((0.25, 0.25, 0.1, 0.1), 0.3),
     make_explicit((0.4, 0.16 * (1 + 1e-12)), 0.44 - 0.16e-12),
 ]
-GENERATOR_IDS = ["untied2", "untied3", "tied2", "tied3", "near-tie2"]
+GENERATOR_IDS = ["untied2", "untied3", "tied2", "tied3", "tied-bump3", "two-groups4", "near-tie2"]
 
 
 class TestLevelGenerator:
@@ -447,7 +452,9 @@ class TestLevelGenerator:
             assert [lv.word_count for lv in table] == [3**m for m in range(kept)]
 
     @pytest.mark.parametrize(
-        "al", [GENERATOR_ALPHABETS[1], GENERATOR_ALPHABETS[3]], ids=["untied3", "tied3"]
+        "al",
+        [GENERATOR_ALPHABETS[i] for i in (1, 3, 4, 5)],
+        ids=["untied3", "tied3", "tied-bump3", "two-groups4"],
     )
     def test_heap_budget_rule(self, al):
         # the heap keeps a level iff the lattice points popped through it fit
@@ -462,6 +469,19 @@ class TestLevelGenerator:
             assert [(lv.weight, lv.word_count) for lv in table] == [
                 (float(w), words) for w, words, _ in brute[:kept]
             ]
+
+    def test_partly_tied_table_pinned(self):
+        # 20 tied letters beside 6 distinct ones: grouped nodes stand for many
+        # lattice points each, and the budget still counts every one of them
+        al = make_explicit((0.03,) * 20 + (0.08, 0.06, 0.05, 0.04, 0.035, 0.025), 0.11)
+        table = enumerate_levels(al, max_rank=10**15, node_budget=10**6)
+        assert table.truncated
+        assert len(table) == 1292
+        assert table.max_rank == 446_681_832
+        pairs = repr([(lv.weight, lv.word_count) for lv in table]).encode()
+        assert hashlib.sha256(pairs).hexdigest() == (
+            "6a458358a5847fb7dbc015e8293c33b45af3d3ca675e7eafc91467c3dd2207cf"
+        )
 
     def test_weight_events_budget_counts_pops(self):
         wv = log_weights(GENERATOR_ALPHABETS[1])
@@ -518,3 +538,47 @@ class TestVerifyBounds:
         wv = rescale_weights(al, solve_gamma(al))
         with pytest.raises(ResourceGuardError):
             verify_bounds(wv, 20.0, node_budget=50)
+
+
+def _renewal_limit(wv):
+    """1/mu with mu = sum(L_i * exp(-L_i)), the mean of the renewal step law."""
+    return 1.0 / sum(L * math.exp(-L) for L in wv.weights)
+
+
+class TestRenewalConstant:
+    """Q(x) * exp(-x) tends to 1/mu on rescaled non-lattice alphabets.
+
+    The key renewal theorem gives the limit; uniform and dyadic alphabets are
+    lattice and have none, so they are left out.
+    """
+
+    @pytest.mark.parametrize(
+        "al, x_cert, window, band",
+        [
+            (make_gusein_zade(5, 0.18), 25.0, (25.0, 30.0), 0.02),
+            (make_gusein_zade(26, 0.18), 14.0, (11.0, 14.0), 0.02),
+            (make_explicit((0.6, 0.2), 0.2), 25.0, (20.0, 25.0), 0.1),
+        ],
+        ids=["gz5", "gz26", "two"],
+    )
+    def test_certificate_and_tail_bracket_the_limit(self, al, x_cert, window, band):
+        wv = rescale_weights(al, solve_gamma(al))
+        limit = _renewal_limit(wv)
+        cert = verify_bounds(wv, x_cert)
+        assert cert.c1 < limit < cert.c2
+        lo, hi = window
+        tail = [q * math.exp(-x) for x, q in weight_events(wv, hi) if lo < x <= hi]
+        assert len(tail) > 100
+        assert min(tail) < limit < max(tail)
+        assert all(abs(q / limit - 1.0) < band for q in tail)
+
+    def test_random_alphabets(self):
+        rng = random.Random(7)
+        for _ in range(3):
+            al = make_random_alphabet(rng, 3, 0.2)
+            wv = rescale_weights(al, solve_gamma(al))
+            limit = _renewal_limit(wv)
+            cert = verify_bounds(wv, 20.0)
+            assert cert.c1 < limit < cert.c2
+            tail = [q * math.exp(-x) for x, q in weight_events(wv, 20.0) if x > 16.0]
+            assert min(tail) < limit < max(tail)

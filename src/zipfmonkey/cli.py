@@ -40,12 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _node_budget() -> int:
-    return int(os.environ.get("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET))
-
-
-def _word_cap() -> int:
-    return int(os.environ.get("ZIPFMONKEY_WORD_CAP", simulate.DEFAULT_WORD_CAP))
+def _env_limit(name: str, default: int) -> int:
+    """The limit set by environment variable name (an integer >= 1), else default."""
+    raw = os.environ.get(name)
+    try:
+        limit = default if raw is None else int(raw)
+    except ValueError:
+        limit = 0  # refused below, as every value under 1 is
+    if limit < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {raw!r}")
+    return limit
 
 
 # --- alphabet sources --------------------------------------------------------
@@ -77,7 +81,7 @@ def _resolve_alphabet(args) -> alphabet_mod.Alphabet:
     flag, n = ("--uniform", args.uniform) if uniform else ("--gusein-zade", args.gusein_zade)
     if args.p0 is None:
         raise UsageError(f"{flag} requires --p0")
-    budget = _node_budget()
+    budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
     if n > budget:  # refused before any letter is built
         raise ResourceGuardError(
             f"{flag} {n} letters exceed the node budget {budget}; "
@@ -117,7 +121,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_levels(args) -> int:
     al = _resolve_alphabet(args)
-    budget = _node_budget()
+    budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
     table = pyramid.enumerate_levels(
         al, max_rank=args.max_rank, max_weight=args.max_weight, node_budget=budget
     )
@@ -149,7 +153,8 @@ def _cmd_levels(args) -> int:
 
 def _cmd_qfun(args) -> int:
     al = _resolve_alphabet(args)
-    events = pyramid.weight_events(log_weights(al), args.x_max, node_budget=_node_budget())
+    budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
+    events = pyramid.weight_events(log_weights(al), args.x_max, node_budget=budget)
     lines = ["# format: v1 qfun", "# columns: x\tq"]
     lines += [f"{x!r}\t{q}" for x, q in events]
     _write_output(args, "\n".join(lines) + "\n")
@@ -158,6 +163,7 @@ def _cmd_qfun(args) -> int:
 
 def _cmd_certify(args) -> int:
     al = _resolve_alphabet(args)
+    budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
     sol = solve_gamma(al)
     weights = rescale_weights(al, sol)
     lines = [
@@ -166,7 +172,7 @@ def _cmd_certify(args) -> int:
         f"gamma={sol.gamma!r}",
     ]
     try:
-        cert = pyramid.verify_bounds(weights, args.x_max, node_budget=_node_budget())
+        cert = pyramid.verify_bounds(weights, args.x_max, node_budget=budget)
     except BoundViolationError as exc:
         lines += ["status=FAIL", f"# {exc}"]
         _write_output(args, "\n".join(lines) + "\n")
@@ -194,7 +200,7 @@ def _cmd_simulate(args) -> int:
         seed,
         streams=args.streams,
         skip_empty=args.skip_empty,
-        word_cap=_word_cap(),
+        word_cap=_env_limit("ZIPFMONKEY_WORD_CAP", simulate.DEFAULT_WORD_CAP),
     )
     lines = [
         "# format: v1 word_count",

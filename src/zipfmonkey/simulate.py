@@ -17,11 +17,12 @@ to one counter.
 
 A word is a str from the draw to the output: letter i is the code point
 i + 1, so words sort like their letter-index tuples and the empty word is
-"".  Each stream draws all word lengths, then all letters in one call,
-writes them as code points with a 0 after each word, decodes them once and
-counts the words in blocks, so no list of all words is held.  The table
-does not depend on how the words are counted.  The encoding allows at most
-sys.maxunicode letters.
+"".  Each stream draws all word lengths, then takes them in blocks: it
+draws a block's letters, writes them as code points with a 0 between
+words, decodes them and counts the words.  Memory grows with the words,
+the distinct words and one block's letters, not with all the letters; the
+block size changes no count.  The encoding allows at most sys.maxunicode
+letters.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ Word = str  # letter i is chr(i + 1)
 
 DEFAULT_WORD_CAP = 10**8
 
-_BLOCK_WORDS = 1 << 16  # words split and counted at a time
+_BLOCK_WORDS = 1 << 16  # words drawn, decoded and counted at a time
 
 
 @dataclass
@@ -82,7 +83,7 @@ class RankFrequency:
 def _generate_stream(
     alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int, counts: Counter
 ) -> None:
-    """Draw count words and add them to counts."""
+    """Draw count words, one block of _BLOCK_WORDS at a time, and add them to counts."""
     import numpy as np
 
     p0 = alphabet.space_prob
@@ -94,20 +95,11 @@ def _generate_stream(
             "raise ZIPFMONKEY_WORD_CAP to allow more"
         )
     letter_probs = np.asarray(alphabet.letter_probs) / (1.0 - p0)
-    letters = rng.choice(alphabet.n, size=n_letters, p=letter_probs)
-    letters += 1
-    ends = np.cumsum(lengths + 1) - 1  # offset of the 0 after each word
-    is_letter = np.ones(n_letters + count, dtype=bool)
-    is_letter[ends] = False
-    codes = np.zeros(n_letters + count, dtype="<u4")
-    codes[is_letter] = letters
-    del letters, is_letter
-    text = codes.tobytes().decode("utf-32-le", "surrogatepass")
-    del codes
-    start = 0
-    for stop in ends[_BLOCK_WORDS - 1 : -1 : _BLOCK_WORDS].tolist() + [len(text) - 1]:
-        counts.update(text[start:stop].split("\0"))
-        start = stop + 1
+    for start in range(0, count, _BLOCK_WORDS):
+        block = lengths[start : start + _BLOCK_WORDS]
+        letters = rng.choice(alphabet.n, size=block.sum(), p=letter_probs)
+        codes = np.insert(letters + 1, np.cumsum(block[:-1]), 0).astype("<u4")
+        counts.update(codes.tobytes().decode("utf-32-le", "surrogatepass").split("\0"))
 
 
 def generate_words(
@@ -174,7 +166,9 @@ def word_rows(
 ) -> Iterator[tuple[str, int]]:
     """(rendered word, count) rows: most frequent first, ties in letter-index
     order; the empty word is rendered as empty_token."""
-    ranked = sorted(zip([-c for c in table.entries.values()], table.entries))
+    entries = table.entries
+    ranked = sorted(entries)
+    ranked.sort(key=entries.__getitem__, reverse=True)  # stable: ties keep word order
     to_labels = dict(enumerate(labels, 1))
-    for c, w in ranked:
-        yield (w.translate(to_labels) if w else empty_token), -c
+    for w in ranked:
+        yield (w.translate(to_labels) if w else empty_token), entries[w]

@@ -452,6 +452,25 @@ class TestExitCodes:
         )
         assert code == 2  # cap raises ValueError -> validation
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    @pytest.mark.parametrize(
+        "variable, argv",
+        [
+            ("ZIPFMONKEY_NODE_BUDGET", ["gamma", "--uniform", "3", "--p0", "0.2"]),
+            (
+                "ZIPFMONKEY_WORD_CAP",
+                ["simulate", "--uniform", "2", "--p0", "0.3", "--n-words", "10", "--seed", "1"],
+            ),
+        ],
+        ids=["node-budget", "word-cap"],
+    )
+    def test_invalid_limit_names_its_variable(self, capsys, monkeypatch, variable, argv, value):
+        monkeypatch.setenv(variable, value)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert variable in err
+        assert "Traceback" not in err
+
     def test_word_cap_bounds_letters(self, capsys, monkeypatch):
         # 1000 words at p0 = 1e-6 need about 10**9 letters
         monkeypatch.setenv("ZIPFMONKEY_WORD_CAP", str(10**6))

@@ -442,8 +442,9 @@ class TestLevelGenerator:
         assert len(enumerate_levels(al, max_weight=x_max)) == len(events) - 1
 
     def test_uniform_budget_rule(self):
-        # the closed form keeps level m iff the comb(m+3, 3) lattice points
-        # through it fit in the budget
+        # the grouped walk pops one node per length m, standing for the
+        # comb(m+2, 2) lattice points of that length; it keeps level m iff
+        # the comb(m+3, 3) points through it fit in the budget
         al = make_uniform(3, 0.1)
         for budget in range(1, 401):
             table = enumerate_levels(al, max_rank=10**6, node_budget=budget)
@@ -582,3 +583,24 @@ class TestRenewalConstant:
             assert cert.c1 < limit < cert.c2
             tail = [q * math.exp(-x) for x, q in weight_events(wv, 20.0) if x > 16.0]
             assert min(tail) < limit < max(tail)
+
+    @pytest.mark.parametrize(
+        "al",
+        [make_gusein_zade(5, 0.18), make_gusein_zade(26, 0.18), make_explicit((0.6, 0.2), 0.2)],
+        ids=["gz5", "gz26", "two"],
+    )
+    def test_levels_follow_the_prefactor_law(self, al):
+        # p(r) ~ p0 * (mu * r)**(-1/gamma): both ends of every level's rank
+        # span in [100, 10**6] lie within 0.2 nats (at most 0.174 measured)
+        sol = solve_gamma(al)
+        mu = 1.0 / _renewal_limit(rescale_weights(al, sol))
+        log_p0 = math.log(al.space_prob)
+        ends = [
+            (lv.log_prob, r)
+            for lv in enumerate_levels(al, max_rank=10**6)
+            for r in (lv.rank_lo, lv.rank_hi)
+            if 100 <= r <= 10**6
+        ]
+        assert len(ends) >= 400
+        worst = max(abs(lp - (log_p0 - math.log(mu * r) / sol.gamma)) for lp, r in ends)
+        assert worst < 0.2

@@ -115,6 +115,21 @@ def _reference_counts(alphabet, count, seed):
     return counts
 
 
+class _RecordingRng:
+    """A seeded Generator that records how many letters each choice call draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def geometric(self, *args, **kwargs):
+        return self.rng.geometric(*args, **kwargs)
+
+    def choice(self, a, size=None, **kwargs):
+        self.sizes.append(int(size))
+        return self.rng.choice(a, size=size, **kwargs)
+
+
 class TestCounting:
     @pytest.mark.parametrize(
         "alphabet, count",
@@ -129,13 +144,27 @@ class TestCounting:
         _generate_stream(alphabet, count, np.random.default_rng(11), 10**8, got)
         assert got == _reference_counts(alphabet, count, 11)
 
-    @pytest.mark.parametrize("block", [1, 7, 1000, 5000])
-    def test_counting_blocks_do_not_change_counts(self, monkeypatch, block):
-        # 5000 words: ragged last block, whole blocks, and one block
+    @pytest.mark.parametrize(
+        "block, alphabet",
+        [(block, make_gusein_zade(5, 0.18)) for block in (1, 7, 1000, 5000)]
+        + [(block, make_uniform(2, 0.9)) for block in (1, 7, 1000)],
+        ids=["1", "7", "1000", "5000", "u2-1", "u2-7", "u2-1000"],
+    )
+    def test_counting_blocks_do_not_change_counts(self, monkeypatch, block, alphabet):
+        # 5000 words: ragged last block, whole blocks, and one block; u2's
+        # mostly empty words give blocks that draw no letter
         monkeypatch.setattr(simulate, "_BLOCK_WORDS", block)
-        alphabet = make_gusein_zade(5, 0.18)
         got = Counter()
         _generate_stream(alphabet, 5000, np.random.default_rng(11), 10**8, got)
+        assert got == _reference_counts(alphabet, 5000, 11)
+
+    def test_each_draw_holds_one_block_of_letters(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK_WORDS", 700)
+        alphabet = make_gusein_zade(5, 0.18)
+        rng, got = _RecordingRng(11), Counter()
+        _generate_stream(alphabet, 5000, rng, 10**8, got)
+        lengths = np.random.default_rng(11).geometric(0.18, size=5000) - 1
+        assert rng.sizes == [int(lengths[i : i + 700].sum()) for i in range(0, 5000, 700)]
         assert got == _reference_counts(alphabet, 5000, 11)
 
     def test_streams_add_to_one_table(self):

@@ -14,7 +14,9 @@ import math
 import os
 import sys
 from collections import Counter
-from typing import Sequence
+from contextlib import nullcontext
+from itertools import chain, islice
+from typing import Iterable, Sequence
 
 from . import alphabet as alphabet_mod
 from . import fit as fit_mod
@@ -23,6 +25,7 @@ from .errors import BoundViolationError, ResourceGuardError
 from .gamma import log_weights, rescale_weights, solve_gamma
 
 EPS_TOKEN = "<EPS>"
+_WRITE_BLOCK = 8192  # output lines joined per write
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,27 +84,31 @@ def _resolve_alphabet(args) -> alphabet_mod.Alphabet:
     flag, n = ("--uniform", args.uniform) if uniform else ("--gusein-zade", args.gusein_zade)
     if args.p0 is None:
         raise UsageError(f"{flag} requires --p0")
-    budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
-    if n > budget:  # refused before any letter is built
+    if n > args.node_budget:  # refused before any letter is built
         raise ResourceGuardError(
-            f"{flag} {n} letters exceed the node budget {budget}; "
+            f"{flag} {n} letters exceed the node budget {args.node_budget}; "
             "raise ZIPFMONKEY_NODE_BUDGET to allow more"
         )
     return (alphabet_mod.make_uniform if uniform else alphabet_mod.make_gusein_zade)(n, args.p0)
 
 
-def _write_output(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(path: str | None, lines: Iterable[str]) -> None:
+    """Write each line and a newline to the file at path, or to stdout if none."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        # one write per block of lines: a write per line costs more than the join
+        while block := list(islice(lines, _WRITE_BLOCK)):
+            fh.write("\n".join(block) + "\n")
 
 
 # --- subcommands -------------------------------------------------------------
+# Each computes its whole result, then returns (exit code, output lines); only
+# rendering is left to the lazy lines, so a command that fails writes nothing.
+
+Output = tuple[int, Iterable[str]]
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> Output:
     al = _resolve_alphabet(args)
     sol = solve_gamma(al, tol=args.tol)
     lines = [
@@ -115,55 +122,46 @@ def _cmd_gamma(args) -> int:
         f"residual={sol.residual!r}",
         f"iterations={sol.iterations}",
     ]
-    _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def _cmd_levels(args) -> int:
+def _cmd_levels(args) -> Output:
     al = _resolve_alphabet(args)
-    budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
     table = pyramid.enumerate_levels(
-        al, max_rank=args.max_rank, max_weight=args.max_weight, node_budget=budget
+        al, max_rank=args.max_rank, max_weight=args.max_weight, node_budget=args.node_budget
     )
     ln10 = math.log(10.0)
-    lines = [
-        "# format: v1 levels",
-        "# columns: rank_lo\trank_hi\tlog10_prob\tweight\tcount",
-    ]
-    for lv in table:
-        lo, hi = lv.rank_lo, lv.rank_hi
-        if args.no_empty_word:
-            if lv.rank_lo == 1:  # the empty word's level
-                lo += 1
-                if hi < lo:
-                    continue
-            lo -= 1
-            hi -= 1
-        lines.append(
-            f"{lo}\t{hi}\t{lv.log_prob / ln10!r}\t{lv.weight!r}\t{lv.word_count}"
-        )
-    if table.truncated:
-        lines.append(
-            f"# truncated: node budget {budget} reached, trailing level dropped; "
-            "raise ZIPFMONKEY_NODE_BUDGET to allow more"
-        )
-    _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+
+    def rows():
+        for lv in table:
+            lo, hi = lv.rank_lo, lv.rank_hi
+            if args.no_empty_word:
+                if lv.rank_lo == 1:  # the empty word's level
+                    lo += 1
+                    if hi < lo:
+                        continue
+                lo -= 1
+                hi -= 1
+            yield f"{lo}\t{hi}\t{lv.log_prob / ln10!r}\t{lv.weight!r}\t{lv.word_count}"
+        if table.truncated:
+            yield (
+                f"# truncated: node budget {args.node_budget} reached, trailing level "
+                "dropped; raise ZIPFMONKEY_NODE_BUDGET to allow more"
+            )
+
+    header = ["# format: v1 levels", "# columns: rank_lo\trank_hi\tlog10_prob\tweight\tcount"]
+    return EXIT_OK, chain(header, rows())
 
 
-def _cmd_qfun(args) -> int:
+def _cmd_qfun(args) -> Output:
     al = _resolve_alphabet(args)
-    budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
-    events = pyramid.weight_events(log_weights(al), args.x_max, node_budget=budget)
-    lines = ["# format: v1 qfun", "# columns: x\tq"]
-    lines += [f"{x!r}\t{q}" for x, q in events]
-    _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    events = pyramid.weight_events(log_weights(al), args.x_max, node_budget=args.node_budget)
+    header = ["# format: v1 qfun", "# columns: x\tq"]
+    return EXIT_OK, chain(header, (f"{x!r}\t{q}" for x, q in events))
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> Output:
     al = _resolve_alphabet(args)
-    budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
     sol = solve_gamma(al)
     weights = rescale_weights(al, sol)
     lines = [
@@ -172,11 +170,9 @@ def _cmd_certify(args) -> int:
         f"gamma={sol.gamma!r}",
     ]
     try:
-        cert = pyramid.verify_bounds(weights, args.x_max, node_budget=budget)
+        cert = pyramid.verify_bounds(weights, args.x_max, node_budget=args.node_budget)
     except BoundViolationError as exc:
-        lines += ["status=FAIL", f"# {exc}"]
-        _write_output(args, "\n".join(lines) + "\n")
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, lines + ["status=FAIL", f"# {exc}"]
     lines += [
         f"c1={cert.c1!r}",
         f"c2={cert.c2!r}",
@@ -185,11 +181,10 @@ def _cmd_certify(args) -> int:
         f"event_count={cert.event_count}",
         "status=PASS",
     ]
-    _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Output:
     if args.out and args.seed is None:
         raise UsageError("--seed is required when --out is set (reproducible archives)")
     al = _resolve_alphabet(args)
@@ -200,16 +195,15 @@ def _cmd_simulate(args) -> int:
         seed,
         streams=args.streams,
         skip_empty=args.skip_empty,
-        word_cap=_env_limit("ZIPFMONKEY_WORD_CAP", simulate.DEFAULT_WORD_CAP),
+        word_cap=args.word_cap,
     )
-    lines = [
+    header = [
         "# format: v1 word_count",
         f"# n_words={table.total_words} seed={seed} streams={args.streams}",
         "# columns: word\tcount",
     ]
-    lines += [f"{w}\t{c}" for w, c in simulate.word_rows(table, al.labels, EPS_TOKEN)]
-    _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    rows = simulate.word_rows(table, al.labels, EPS_TOKEN)
+    return EXIT_OK, chain(header, (f"{w}\t{c}" for w, c in rows))
 
 
 def _read_tsv_rows(path: str) -> list[tuple[str, str]]:
@@ -243,6 +237,7 @@ def _rank_freq_from_file(path: str, kind: str) -> simulate.RankFrequency:
         pts = sorted((int(a), float(b)) for a, b in rows)
         return simulate.RankFrequency(tuple(pts))
     counts = {w: int(c) for w, c in rows}  # a repeated word: the last row wins
+    del rows  # not held while the counts are ranked
     return simulate.empirical_rank_freq(counts.values())
 
 
@@ -252,7 +247,7 @@ def _fit_from_args(args) -> tuple[fit_mod.FitResult, simulate.RankFrequency]:
     return fit_mod.ols_loglog(points, r_min, r_max), points
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> Output:
     result, points = _fit_from_args(args)
     lines = [
         "# format: v1 fit",
@@ -263,21 +258,15 @@ def _cmd_fit(args) -> int:
         f"window_lo={result.rank_window[0]}",
         f"window_hi={result.rank_window[1]}",
     ]
-    _write_output(args, "\n".join(lines) + "\n")
     if args.plot_data:
-        rows = ["lg_r,lg_f,lg_f_fit"]
-        for r, f in points:
-            if result.rank_window[0] <= r <= result.rank_window[1]:
-                lg_r = math.log10(r)
-                rows.append(
-                    f"{lg_r!r},{math.log10(f)!r},{result.intercept + result.slope * lg_r!r}"
-                )
-        with open(args.plot_data, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
-    return EXIT_OK
+        lo, hi = result.rank_window
+        lg = ((math.log10(r), math.log10(f)) for r, f in points if lo <= r <= hi)
+        rows = (f"{x!r},{y!r},{result.intercept + result.slope * x!r}" for x, y in lg)
+        _write(args.plot_data, chain(["lg_r,lg_f,lg_f_fit"], rows))
+    return EXIT_OK, lines
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> Output:
     result, _pts = _fit_from_args(args)
     al = _resolve_alphabet(args)
     report = fit_mod.compare(result, al)
@@ -289,8 +278,7 @@ def _cmd_compare(args) -> int:
         f"window_lo={report.rank_window[0]}",
         f"window_hi={report.rank_window[1]}",
     ]
-    _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
 def _tokenize_words(text: str, fold_case: bool = True) -> dict[str, int]:
@@ -305,20 +293,18 @@ def _tokenize_words(text: str, fold_case: bool = True) -> dict[str, int]:
     return counts
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> Output:
     with open(args.corpus, encoding="utf-8") as fh:
         text = fh.read()
     counts = _tokenize_words(text, fold_case=not args.keep_case)
     if not counts:
         raise ValueError(f"no words found in {args.corpus}")
     points = simulate.empirical_rank_freq(counts.values())
-    lines = [
+    header = [
         "# format: v1 rank_freq",
         f"# source={args.corpus} words={sum(counts.values())} distinct={len(counts)}",
         "# columns: rank\tfreq",
     ]
-    lines += [f"{r}\t{f!r}" for r, f in points]
-    _write_output(args, "\n".join(lines) + "\n")
     if args.alphabet_out:
         al = alphabet_mod.estimate_from_corpus(
             text, fold_case=not args.keep_case
@@ -326,7 +312,7 @@ def _cmd_ingest(args) -> int:
         as_json = args.alphabet_out.endswith(".json")
         with open(args.alphabet_out, "w", encoding="utf-8") as fh:
             fh.write(alphabet_mod.to_json(al) if as_json else alphabet_mod.to_text(al))
-    return EXIT_OK
+    return EXIT_OK, chain(header, (f"{r}\t{f!r}" for r, f in points))
 
 
 # --- parser ------------------------------------------------------------------
@@ -339,14 +325,22 @@ def build_parser() -> _Parser:
         "envelope certificates, simulation, and power-law fits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _Parser(add_help=False)
+    out.add_argument("--out", metavar="FILE", help="write the output here, not to stdout")
+    table = _Parser(add_help=False)  # the rank-frequency table read by fit and compare
+    table.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    table.add_argument(
+        "--kind", choices=("auto", "ranks", "words"), default="auto",
+        help="input columns: rank/freq or word/count",
+    )
+    table.add_argument("--window", type=int, nargs=2, metavar=("R_MIN", "R_MAX"))
 
-    p = sub.add_parser("gamma", help="solve the exponent equation sum(p_i**g) = 1")
+    p = sub.add_parser("gamma", parents=[out], help="solve the exponent equation sum(p_i**g) = 1")
     _add_alphabet_options(p)
     p.add_argument("--tol", type=float, default=1e-14, help="bisection bracket width")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("levels", help="exact probability classes with rank spans")
+    p = sub.add_parser("levels", parents=[out], help="exact probability classes with rank spans")
     _add_alphabet_options(p)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--max-rank", type=int, help="enumerate levels through this rank")
@@ -355,54 +349,46 @@ def build_parser() -> _Parser:
         "--no-empty-word", action="store_true",
         help="drop the empty word and shift ranks down by one (reporting only)",
     )
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_levels)
 
-    p = sub.add_parser("qfun", help="counting function at its jump points")
+    p = sub.add_parser("qfun", parents=[out], help="counting function at its jump points")
     _add_alphabet_options(p)
     p.add_argument("--x-max", type=float, required=True)
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_qfun)
 
-    p = sub.add_parser("certify", help="certify the exponential envelope constants")
+    p = sub.add_parser("certify", parents=[out], help="certify the exponential envelope constants")
     _add_alphabet_options(p)
     p.add_argument("--x-max", type=float, required=True)
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("simulate", help="draw words from the model, emit word counts")
+    p = sub.add_parser(
+        "simulate", parents=[out], help="draw words from the model, emit word counts"
+    )
     _add_alphabet_options(p)
     p.add_argument("--n-words", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--streams", type=int, default=1)
     p.add_argument("--skip-empty", action="store_true", help="drop empty words, renormalize")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="OLS power-law fit of a rank-frequency table")
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument(
-        "--kind", choices=("auto", "ranks", "words"), default="auto",
-        help="input columns: rank/freq or word/count",
+    p = sub.add_parser(
+        "fit", parents=[out, table], help="OLS power-law fit of a rank-frequency table"
     )
-    p.add_argument("--window", type=int, nargs=2, metavar=("R_MIN", "R_MAX"))
     p.add_argument("--plot-data", metavar="FILE", help="CSV of lg_r,lg_f,lg_f_fit")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("compare", help="fitted slope against the model slope -1/gamma")
+    p = sub.add_parser(
+        "compare", parents=[out, table], help="fitted slope against the model slope -1/gamma"
+    )
     _add_alphabet_options(p)
-    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--kind", choices=("auto", "ranks", "words"), default="auto")
-    p.add_argument("--window", type=int, nargs=2, metavar=("R_MIN", "R_MAX"))
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("ingest", help="corpus to rank-frequency TSV and estimated alphabet")
+    p = sub.add_parser(
+        "ingest", parents=[out], help="corpus to rank-frequency TSV and estimated alphabet"
+    )
     p.add_argument("--corpus", required=True, metavar="FILE")
     p.add_argument("--keep-case", action="store_true")
     p.add_argument("--alphabet-out", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_ingest)
     return parser
 
@@ -415,7 +401,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        args.node_budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
+        args.word_cap = _env_limit("ZIPFMONKEY_WORD_CAP", simulate.DEFAULT_WORD_CAP)
+        code, lines = args.func(args)
+        _write(args.out, lines)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

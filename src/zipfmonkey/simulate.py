@@ -17,12 +17,12 @@ to one counter.
 
 A word is a str from the draw to the output: letter i is the code point
 i + 1, so words sort like their letter-index tuples and the empty word is
-"".  Each stream draws all word lengths, then takes them in blocks: it
-draws a block's letters, writes them as code points with a 0 between
-words, decodes them and counts the words.  Memory grows with the words,
-the distinct words and one block's letters, not with all the letters; the
-block size changes no count.  The encoding allows at most sys.maxunicode
-letters.
+"".  Each stream draws all word lengths, then takes them in blocks of
+about 2**18 code points (letters and separators): it draws a block's
+letters, writes them as code points with a 0 between words, decodes them
+and counts the words.  Memory grows with the words, the distinct words
+and one block's letters, not with all the letters; the block size changes
+no count.  The encoding allows at most sys.maxunicode letters.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ Word = str  # letter i is chr(i + 1)
 
 DEFAULT_WORD_CAP = 10**8
 
-_BLOCK_WORDS = 1 << 16  # words drawn, decoded and counted at a time
+_BLOCK_CODES = 1 << 18  # code points (letters and separators) drawn and counted at a time
 
 
 @dataclass
@@ -83,7 +83,9 @@ class RankFrequency:
 def _generate_stream(
     alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int, counts: Counter
 ) -> None:
-    """Draw count words, one block of _BLOCK_WORDS at a time, and add them to counts."""
+    """Draw count words and add them to counts, about _BLOCK_CODES code points
+    at a time: a word is 1/p0 code points on average (its letters and a
+    separator), so a block is _BLOCK_CODES * p0 words whatever p0 is."""
     import numpy as np
 
     p0 = alphabet.space_prob
@@ -95,8 +97,9 @@ def _generate_stream(
             "raise ZIPFMONKEY_WORD_CAP to allow more"
         )
     letter_probs = np.asarray(alphabet.letter_probs) / (1.0 - p0)
-    for start in range(0, count, _BLOCK_WORDS):
-        block = lengths[start : start + _BLOCK_WORDS]
+    block_words = max(1, int(_BLOCK_CODES * p0))
+    for start in range(0, count, block_words):
+        block = lengths[start : start + block_words]
         letters = rng.choice(alphabet.n, size=block.sum(), p=letter_probs)
         codes = np.insert(letters + 1, np.cumsum(block[:-1]), 0).astype("<u4")
         counts.update(codes.tobytes().decode("utf-32-le", "surrogatepass").split("\0"))
@@ -165,10 +168,10 @@ def word_rows(
     table: FrequencyTable, labels: Sequence[str], empty_token: str = "<EPS>"
 ) -> Iterator[tuple[str, int]]:
     """(rendered word, count) rows: most frequent first, ties in letter-index
-    order; the empty word is rendered as empty_token."""
+    order; the empty word is rendered as empty_token.  The words are ranked
+    now and rendered as the rows are read."""
     entries = table.entries
     ranked = sorted(entries)
     ranked.sort(key=entries.__getitem__, reverse=True)  # stable: ties keep word order
     to_labels = dict(enumerate(labels, 1))
-    for w in ranked:
-        yield (w.translate(to_labels) if w else empty_token), entries[w]
+    return ((w.translate(to_labels) if w else empty_token, entries[w]) for w in ranked)

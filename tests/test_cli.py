@@ -31,6 +31,7 @@ from zipfmonkey import (
 )
 from zipfmonkey import cli as cli_mod
 from zipfmonkey.cli import main
+from zipfmonkey.errors import BoundViolationError
 
 
 def run(capsys, *argv):
@@ -60,6 +61,14 @@ def seeded_corpus(seed, chars, letters):
     symbols = [chr(0x4E00 + i) for i in range(letters)]
     weights = [1.0 / (i + 1) for i in range(letters)]
     return "".join(rng.choices(symbols + [" "], weights + [0.3], k=chars))
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    """A directory holding a small corpus.txt and a rank/freq ranks.tsv."""
+    (tmp_path / "corpus.txt").write_text("the cat sat on the mat\nand then ran\n")
+    (tmp_path / "ranks.tsv").write_text("".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)))
+    return tmp_path
 
 
 def tsv_rows(text):
@@ -190,6 +199,22 @@ class TestCertifyCommand:
         code, _, err = run(capsys, "certify", "--uniform", "2", "--p0", "0.3", "--x-max", "0.1")
         assert code == 2
         assert "x_max" in err
+
+    def test_failed_check_is_written(self, capsys, monkeypatch, tmp_path):
+        def violated(*args, **kwargs):
+            raise BoundViolationError("upper envelope broken at x=3.5")
+
+        monkeypatch.setattr(cli_mod.pyramid, "verify_bounds", violated)
+        out_path = tmp_path / "cert.txt"
+        code, out, _ = run(
+            capsys, "certify", "--uniform", "2", "--p0", "0.3", "--x-max", "5",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        text = out_path.read_text()
+        assert text.startswith("# format: v1 certificate\n")
+        assert text.endswith("status=FAIL\n# upper envelope broken at x=3.5\n")
 
 
 class TestSimulateCommand:
@@ -461,10 +486,16 @@ class TestExitCodes:
                 "ZIPFMONKEY_WORD_CAP",
                 ["simulate", "--uniform", "2", "--p0", "0.3", "--n-words", "10", "--seed", "1"],
             ),
+            # commands that use neither limit validate both as well
+            ("ZIPFMONKEY_NODE_BUDGET", ["fit", "--in", "ranks.tsv"]),
+            ("ZIPFMONKEY_WORD_CAP", ["ingest", "--corpus", "corpus.txt"]),
         ],
-        ids=["node-budget", "word-cap"],
+        ids=["node-budget", "word-cap", "fit-node-budget", "ingest-word-cap"],
     )
-    def test_invalid_limit_names_its_variable(self, capsys, monkeypatch, variable, argv, value):
+    def test_invalid_limit_names_its_variable(
+        self, capsys, monkeypatch, workdir, variable, argv, value
+    ):
+        monkeypatch.chdir(workdir)
         monkeypatch.setenv(variable, value)
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -484,14 +515,40 @@ class TestExitCodes:
 
 
 class TestOutputFiles:
-    def test_out_flag_writes_file(self, capsys, tmp_path):
-        out_path = tmp_path / "gamma.txt"
-        code, out, _ = run(
-            capsys, "gamma", "--uniform", "2", "--p0", "0.5", "--out", str(out_path)
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--uniform", "2", "--p0", "0.5"],
+            ["levels", "--gusein-zade", "4", "--p0", "0.2", "--max-rank", "50"],
+            ["qfun", "--uniform", "3", "--p0", "0.2", "--x-max", "4"],
+            ["certify", "--gusein-zade", "3", "--p0", "0.2", "--x-max", "6"],
+            ["simulate", "--uniform", "3", "--p0", "0.3", "--n-words", "100", "--seed", "1"],
+            ["fit", "--in", "ranks.tsv"],
+            ["compare", "--uniform", "3", "--p0", "0.2", "--in", "ranks.tsv"],
+            ["ingest", "--corpus", "corpus.txt"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_flag_writes_file(self, capsys, monkeypatch, workdir, argv):
+        monkeypatch.chdir(workdir)
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert stdout.startswith("# format: v1 ")
+        code, out, _ = run(capsys, *argv, "--out", "out.txt")
         assert code == 0
         assert out == ""
-        assert "gamma=" in out_path.read_text()
+        assert Path("out.txt").read_bytes() == stdout.encode()
+
+    def test_failed_command_creates_no_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", "50")
+        out_path = tmp_path / "qfun.tsv"
+        code, out, _ = run(
+            capsys, "qfun", "--uniform", "3", "--p0", "0.1", "--x-max", "30",
+            "--out", str(out_path),
+        )
+        assert code == 3
+        assert out == ""
+        assert not out_path.exists()
 
     def test_format_header_everywhere(self, capsys):
         for args in (
@@ -598,12 +655,6 @@ class TestBenchTracerTargets:
 
 
 class TestNumpyImportedOnlyToDrawWords:
-    @pytest.fixture
-    def workdir(self, tmp_path):
-        (tmp_path / "corpus.txt").write_text("the cat sat on the mat\nand then ran\n")
-        (tmp_path / "ranks.tsv").write_text("".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)))
-        return tmp_path
-
     @pytest.mark.parametrize("module", ["zipfmonkey", "zipfmonkey.cli"])
     def test_import(self, workdir, module):
         assert not loads_numpy(f"import {module}", workdir)

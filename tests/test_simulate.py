@@ -115,6 +115,13 @@ def _reference_counts(alphabet, count, seed):
     return counts
 
 
+def _codes_for(words, p0):
+    """A _BLOCK_CODES value that makes blocks of the given number of words."""
+    codes = math.ceil(words / p0)
+    assert max(1, int(codes * p0)) == words
+    return codes
+
+
 class _RecordingRng:
     """A seeded Generator that records how many letters each choice call draws."""
 
@@ -153,19 +160,28 @@ class TestCounting:
     def test_counting_blocks_do_not_change_counts(self, monkeypatch, block, alphabet):
         # 5000 words: ragged last block, whole blocks, and one block; u2's
         # mostly empty words give blocks that draw no letter
-        monkeypatch.setattr(simulate, "_BLOCK_WORDS", block)
+        monkeypatch.setattr(simulate, "_BLOCK_CODES", _codes_for(block, alphabet.space_prob))
         got = Counter()
         _generate_stream(alphabet, 5000, np.random.default_rng(11), 10**8, got)
         assert got == _reference_counts(alphabet, 5000, 11)
 
     def test_each_draw_holds_one_block_of_letters(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_BLOCK_WORDS", 700)
+        monkeypatch.setattr(simulate, "_BLOCK_CODES", _codes_for(700, 0.18))
         alphabet = make_gusein_zade(5, 0.18)
         rng, got = _RecordingRng(11), Counter()
         _generate_stream(alphabet, 5000, rng, 10**8, got)
         lengths = np.random.default_rng(11).geometric(0.18, size=5000) - 1
         assert rng.sizes == [int(lengths[i : i + 700].sum()) for i in range(0, 5000, 700)]
         assert got == _reference_counts(alphabet, 5000, 11)
+
+    def test_blocks_hold_a_fixed_number_of_code_points(self):
+        # a word is 1/p0 code points on average, so a block is 2**18 * p0 words
+        alphabet, block = make_uniform(2, 0.01), int(2**18 * 0.01)
+        rng, got = _RecordingRng(11), Counter()
+        _generate_stream(alphabet, 6000, rng, 10**8, got)
+        lengths = np.random.default_rng(11).geometric(0.01, size=6000) - 1
+        assert rng.sizes == [int(lengths[i : i + block].sum()) for i in range(0, 6000, block)]
+        assert got == _reference_counts(alphabet, 6000, 11)
 
     def test_streams_add_to_one_table(self):
         al = make_uniform(3, 0.25)

@@ -142,11 +142,12 @@ def make_gusein_zade(n: int, p0: float) -> Alphabet:
         raise ValueError(f"space probability must be in [0, 1), got {p0}")
     # H(n) - H(i-1) as the correctly rounded sum of the floats 1/i, ..., 1/n:
     # on one power-of-two denominator the suffix sums are exact integers,
-    # and integer true division rounds once, as fsum would
-    terms = [(1.0 / j).as_integer_ratio() for j in range(n, 0, -1)]
-    denom = max(d for _num, d in terms)
-    sums = itertools.accumulate(num * (denom // d) for num, d in terms)
-    weights = [s / denom for s in sums][::-1]
+    # and integer true division rounds once, as fsum would.  Two generator
+    # passes, so only one float per letter is held
+    denom = max((1.0 / j).as_integer_ratio()[1] for j in range(1, n + 1))
+    terms = ((1.0 / j).as_integer_ratio() for j in range(n, 0, -1))
+    weights = [s / denom for s in itertools.accumulate(num * (denom // d) for num, d in terms)]
+    weights.reverse()
     total = math.fsum(weights)  # equals n up to rounding
     probs = tuple((1.0 - p0) * w / total for w in weights)
     return make_explicit(probs, p0)

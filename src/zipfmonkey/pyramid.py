@@ -13,18 +13,21 @@ memoized recursion on the functional equation
 Q(x) = Q(x - L_1) + ... + Q(x - L_n) + step(x) (q_tilde_recursive, the
 cross-check), and by one best-first level generator behind enumerate_levels
 and weight_events.  Both walks group letters of exactly equal weight: g
-letters in k slots make g**k words.  The generator walks multisets of
-groups as nondecreasing group sequences with two successors per node
-(append the last group, or bump it to the next), the sorted-sums frontier
-of Frederickson and Johnson, so its heap holds at most one node per pop.
+letters in k slots make g**k words.  The direct walk sums its two
+lightest groups in one loop, the lightest in closed form.  The generator
+walks multisets of groups as nondecreasing group sequences with two
+successors per node (append the last group, or bump it to the next), the
+sorted-sums frontier of Frederickson and Johnson, so its heap holds at
+most one node per pop.
 
 All weight comparisons run in exact integer arithmetic.  Every float is a
 dyadic rational, so weights and thresholds mapped onto a common
-power-of-two denominator (_grid) become integers; lattice sums then never
-suffer rounding, and tie groups are found by exact equality.  One tie
-rule holds everywhere: weights within TIE_EPS are one level, and a query
-at x (or a bound x_max) counts every point up to x + TIE_EPS, so levels,
-the jumps of Q and rank queries group words identically.
+denominator (_grid: the largest power of two among them, joined with an
+exact x's own) become integers; lattice sums then never suffer rounding,
+and tie groups are found by exact equality.  One tie rule holds
+everywhere: weights within TIE_EPS are one level, and a query at x (or a
+bound x_max) counts every point up to x + TIE_EPS, so levels, the jumps
+of Q and rank queries group words identically.
 Counts are Python ints throughout: the counting function grows like
 exp(gamma * x) and leaves 64-bit range almost immediately.
 
@@ -41,7 +44,6 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .alphabet import Alphabet
@@ -128,19 +130,22 @@ def _grid(weights: Sequence[float], x: float | None = None):
 
     Returns (W, T, tie, denom): W[i] = weights[i] * denom, tie = TIE_EPS *
     denom and T = (x + TIE_EPS) * denom (None when x is None), all exact
-    integers; denom is the least common power-of-two denominator.  This is
-    the one tie rule: weights within tie of each other are one level, and a
+    integers.  Float denominators are powers of two, so the largest is
+    their lcm; x may also be an int or a Fraction, whose denominator joins
+    by one lcm.  Any common denominator gives the same counts and, by
+    correctly rounded int / int division, the same floats.  This is the
+    one tie rule: weights within tie of each other are one level, and a
     point within tie above x is counted at x.
     """
-    tie = Fraction(TIE_EPS)
-    fs = [Fraction(w) for w in weights] + [tie]
+    ratios = [w.as_integer_ratio() for w in weights]
+    tie_num, tie_den = TIE_EPS.as_integer_ratio()
+    denom = max(tie_den, *(d for _n, d in ratios))
     if x is not None:
-        fs.append(Fraction(x) + tie)
-    denom = math.lcm(*(f.denominator for f in fs))
-    ints = [f.numerator * (denom // f.denominator) for f in fs]
-    if x is None:
-        return ints[:-1], None, ints[-1], denom
-    return ints[:-2], ints[-1], ints[-2], denom
+        x_num, x_den = x.as_integer_ratio()
+        denom = math.lcm(denom, x_den)
+    tie = tie_num * (denom // tie_den)
+    T = None if x is None else x_num * (denom // x_den) + tie
+    return [n * (denom // d) for n, d in ratios], T, tie, denom
 
 
 def _over_budget(budget: int, weight: float) -> ResourceGuardError:
@@ -158,10 +163,13 @@ def _region_sum(W: list[int], T: int, budget: int, denom: int) -> int:
 
     Letters of equal weight form one group: g letters in k slots make g**k
     words.  Groups go heaviest first on an explicit stack (no recursion
-    limit); a bisect skips those heavier than the remaining weight, and the
-    lightest is collapsed: sum_{j<=m} C(t+j, j) * g**j, the hockey stick
-    C(t+m+1, m) when g == 1.  The budget counts grouped points, m + 1 per
-    leaf: every lattice point when untied.  _memo_sum cross-checks this.
+    limit); a bisect skips those heavier than the remaining weight, and
+    each k of the group it lands on is pushed, except on the two lightest
+    groups, which one loop sums in place: each k of the second lightest
+    adds a leaf that collapses the lightest, sum_{j<=m} C(t+j, j) * g**j,
+    the hockey stick C(t+m+1, m) when g == 1.  The budget counts grouped
+    points, m + 1 per leaf: every lattice point when untied.  _memo_sum
+    cross-checks this.
     """
     if T < 0:
         return 0
@@ -170,25 +178,29 @@ def _region_sum(W: list[int], T: int, budget: int, denom: int) -> int:
     g = [ties[wi] for wi in w]
     neg = [-wi for wi in w]  # ascending, for bisect
     last = len(w) - 1
+    wl, gl = w[last], g[last]
     nodes = 0
     total = 0
     stack = [(0, T, 0, 1)]  # (group, remaining weight, letters so far, coefficient)
     while stack:
         i, rem, letters, coeff = stack.pop()
-        i = min(bisect_left(neg, -rem, i), last)
-        if i == last:
-            m = rem // w[i]
-            nodes += m + 1
-            if nodes > budget:
-                raise _over_budget(budget, T / denom)
-            total += coeff * (
-                math.comb(letters + m + 1, m) if g[i] == 1
-                else sum(math.comb(letters + j, j) * g[i] ** j for j in range(m + 1))
-            )
-            continue
+        i = bisect_left(neg, -rem, i)
         k = 0
         while True:
-            stack.append((i + 1, rem, letters + k, coeff))
+            if i < last - 1:
+                stack.append((i + 1, rem, letters + k, coeff))
+            else:
+                t = letters + k
+                m = rem // wl
+                nodes += m + 1
+                if nodes > budget:
+                    raise _over_budget(budget, T / denom)
+                total += coeff * (
+                    math.comb(t + m + 1, m) if gl == 1
+                    else sum(math.comb(t + j, j) * gl ** j for j in range(m + 1))
+                )
+                if i >= last:  # landed on the lightest group, or past it
+                    break
             rem -= w[i]
             if rem < 0:
                 break
@@ -386,12 +398,11 @@ def enumerate_levels(
 
 def p_of_rank(levels: LevelTable | Sequence[Level], r: int) -> float:
     """Log-probability of the rank-r word, from an enumerated level table."""
-    seq = tuple(levels)
-    if not seq:
+    if not levels:
         raise ValueError("empty level table")
-    if r < 1 or r > seq[-1].rank_hi:
-        raise ValueError(f"rank {r} outside enumerated range [1, {seq[-1].rank_hi}]")
-    return seq[bisect_left(seq, r, key=lambda lv: lv.rank_hi)].log_prob
+    if r < 1 or r > levels[-1].rank_hi:
+        raise ValueError(f"rank {r} outside enumerated range [1, {levels[-1].rank_hi}]")
+    return levels[bisect_left(levels, r, key=lambda lv: lv.rank_hi)].log_prob
 
 
 # --- envelope certificate ----------------------------------------------------

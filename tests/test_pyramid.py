@@ -30,7 +30,7 @@ from zipfmonkey import (
 )
 from zipfmonkey.errors import BoundViolationError, ResourceGuardError
 from zipfmonkey.gamma import WeightVector
-from zipfmonkey.pyramid import TIE_EPS
+from zipfmonkey.pyramid import TIE_EPS, LevelTable, _grid
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -128,14 +128,19 @@ class TestQTilde:
 
     def test_direct_budget_rule(self):
         # the direct walk trips iff its grouped lattice has more points than
-        # the budget: every lattice point when untied, one per length when tied
+        # the budget: every lattice point when untied, one per length when
+        # tied, one per pair of group sizes for two groups, where the root
+        # lands on the second lightest and the in-place loop does the walk
         tie = Fraction(TIE_EPS)
         untied = log_weights(make_explicit((0.45, 0.25, 0.12), 0.18))
         points = sum(p for _w, _words, p in product_levels(untied, Fraction(6) + tie, 0))
         uniform = log_weights(make_uniform(3, 0.1))
         lengths = int((Fraction(200) + tie) / Fraction(uniform.weights[0])) + 1
-        assert 1 < points < 300 and 1 < lengths < 300
-        for wv, x, size in ((untied, 6.0, points), (uniform, 200.0, lengths)):
+        two = log_weights(make_explicit((0.3, 0.3, 0.2), 0.2))
+        groups = WeightVector(tuple(set(two.weights)))
+        pairs = sum(p for _w, _words, p in product_levels(groups, Fraction(8) + tie, 0))
+        assert groups.n == 2 and all(1 < size < 300 for size in (points, lengths, pairs))
+        for wv, x, size in ((untied, 6.0, points), (uniform, 200.0, lengths), (two, 8.0, pairs)):
             expected = q_tilde_recursive(wv, x)
             for budget in range(1, 301):
                 if size > budget:
@@ -220,6 +225,93 @@ class TestRankOfProbability:
             rank_of_probability(al, 0.0)
         with pytest.raises(ValueError):
             rank_of_probability(make_explicit((0.5, 0.5), 0.0), 0.1)  # p0 = 0
+
+    @pytest.mark.parametrize(
+        "al, x_max",
+        [(make_gusein_zade(5, 0.18), 12.0), (make_gusein_zade(26, 0.18), 8.0),
+         (make_uniform(26, 0.037037), 15.0)],
+        ids=["gz5", "gz26", "u26"],
+    )
+    def test_every_level_probability_gives_its_rank_hi(self, al, x_max):
+        table = enumerate_levels(al, max_weight=x_max)
+        assert not table.truncated and len(table) > 4
+        for lv in table:
+            assert rank_of_probability(al, math.exp(lv.log_prob)) == lv.rank_hi
+
+
+def fraction_grid(weights, x=None):
+    """The Fraction form of _grid, kept as its reference: one lcm over every
+    denominator, x + TIE_EPS summed as a Fraction."""
+    tie = Fraction(TIE_EPS)
+    fs = [Fraction(w) for w in weights] + [tie]
+    if x is not None:
+        fs.append(Fraction(x) + tie)
+    denom = math.lcm(*(f.denominator for f in fs))
+    ints = [f.numerator * (denom // f.denominator) for f in fs]
+    if x is None:
+        return ints[:-1], None, ints[-1], denom
+    return ints[:-2], ints[-1], ints[-2], denom
+
+
+GRID_WEIGHT = st.one_of(  # subnormal and tiny, ordinary, huge
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e-12, max_value=1e3),
+    st.floats(min_value=1e250, max_value=1e300),
+)
+GRID_X = st.one_of(
+    st.none(),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.fractions(max_denominator=10**9),
+)
+
+
+class TestGrid:
+    @given(st.lists(GRID_WEIGHT, min_size=1, max_size=6), GRID_X)
+    def test_matches_fraction_reference(self, weights, x):
+        W, T, tie, denom = _grid(weights, x)
+        W0, T0, tie0, denom0 = fraction_grid(weights, x)
+        # the same rationals on possibly different denominators ...
+        assert [w * denom0 for w in W] == [w * denom for w in W0]
+        assert tie * denom0 == tie0 * denom
+        assert (T is None) == (T0 is None)
+        if T is not None:
+            assert T * denom0 == T0 * denom
+            assert T / denom == T0 / denom0
+        # ... so the walks' float reports round alike
+        assert [w / denom for w in W] == [w / denom0 for w in W0]
+
+
+# one, two and three letter groups (WeightVector needs no normalization, so
+# one letter is allowed), the two lightest groups single letters or tied;
+# the lightest group holds the most probable letters
+GROUP_CASES = [
+    (0.6,),
+    (0.3, 0.3, 0.3),
+    (0.5, 0.3),
+    (0.3, 0.3, 0.2),
+    (0.4, 0.2, 0.2),
+    (0.25, 0.25, 0.15, 0.15),
+    (0.4, 0.3, 0.1),
+    (0.3, 0.3, 0.2, 0.1),
+    (0.4, 0.2, 0.2, 0.1),
+    (0.2, 0.2, 0.15, 0.15, 0.1),
+    (0.4, 0.2, 0.1, 0.1),
+]
+GROUP_IDS = ["1-single", "1-tied", "2-untied", "2-lightest-tied", "2-second-tied",
+             "2-both-tied", "3-untied", "3-lightest-tied", "3-second-tied",
+             "3-both-tied", "3-heaviest-tied"]
+
+
+class TestTwoLightestGroups:
+    @pytest.mark.parametrize("probs", GROUP_CASES, ids=GROUP_IDS)
+    def test_direct_equals_recursive(self, probs):
+        wv = WeightVector(tuple(-math.log(p) for p in probs))
+        lo, hi = wv.L_min, wv.L_max
+        xs = [0.0, lo, hi, 2 * hi, lo + hi, 3 * lo + 2 * hi, 5.5, 9.0, 13.0]
+        for x in xs:
+            assert q_tilde_direct(wv, x) == q_tilde_recursive(wv, x)
+            assert functional_equation_residual(wv, x) == 0
 
 
 class TestEnumerateLevels:
@@ -313,6 +405,18 @@ class TestPOfRank:
             p_of_rank(table, 0)
         with pytest.raises(ValueError):
             p_of_rank(table, table.max_rank + 1)
+
+    def test_bisects_without_iterating_the_table(self, monkeypatch):
+        table = enumerate_levels(make_uniform(2, 1 / 3), max_rank=20)
+        expected = [p_of_rank(table, r) for r in range(1, table.max_rank + 1)]
+
+        def no_iter(self):
+            raise AssertionError("p_of_rank iterated the level table")
+
+        monkeypatch.setattr(LevelTable, "__iter__", no_iter)
+        assert [p_of_rank(table, r) for r in range(1, table.max_rank + 1)] == expected
+        with pytest.raises(ValueError):
+            p_of_rank(LevelTable((), False), 1)
 
 
 class TestFunctionalEquation:

@@ -190,16 +190,11 @@ def _cmd_simulate(args) -> Output:
     al = _resolve_alphabet(args)
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big")
     table = simulate.generate_words(
-        al,
-        args.n_words,
-        seed,
-        streams=args.streams,
-        skip_empty=args.skip_empty,
-        word_cap=args.word_cap,
+        al, args.n_words, seed, skip_empty=args.skip_empty, word_cap=args.word_cap
     )
     header = [
         "# format: v1 word_count",
-        f"# n_words={table.total_words} seed={seed} streams={args.streams}",
+        f"# n_words={table.total_words} seed={seed}",
         "# columns: word\tcount",
     ]
     rows = simulate.word_rows(table, al.labels, EPS_TOKEN)
@@ -233,9 +228,9 @@ def _rank_freq_from_file(path: str, kind: str) -> simulate.RankFrequency:
                 kind = "ranks"
         except ValueError:
             pass
-    if kind == "ranks":
+    if kind == "ranks":  # a run of one rank per row: the ranks may have gaps
         pts = sorted((int(a), float(b)) for a, b in rows)
-        return simulate.RankFrequency(tuple(pts))
+        return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
     counts = {w: int(c) for w, c in rows}  # a repeated word: the last row wins
     del rows  # not held while the counts are ranked
     return simulate.empirical_rank_freq(counts.values())
@@ -260,7 +255,7 @@ def _cmd_fit(args) -> Output:
     ]
     if args.plot_data:
         lo, hi = result.rank_window
-        lg = ((math.log10(r), math.log10(f)) for r, f in points if lo <= r <= hi)
+        lg = ((math.log10(r), math.log10(f)) for r, f in simulate.expand_runs(points.runs, lo, hi))
         rows = (f"{x!r},{y!r},{result.intercept + result.slope * x!r}" for x, y in lg)
         _write(args.plot_data, chain(["lg_r,lg_f,lg_f_fit"], rows))
     return EXIT_OK, lines
@@ -367,7 +362,6 @@ def build_parser() -> _Parser:
     _add_alphabet_options(p)
     p.add_argument("--n-words", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--streams", type=int, default=1)
     p.add_argument("--skip-empty", action="store_true", help="drop empty words, renormalize")
     p.set_defaults(func=_cmd_simulate)
 

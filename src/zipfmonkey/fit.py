@@ -2,7 +2,9 @@
 
 Reports use decimal logarithms (the convention of n-gram frequency work);
 the slope of a power law is base-invariant, so nothing depends on the
-choice internally.
+choice internally.  A curve is a simulate.RankFrequency of runs of equal
+frequency; a fit expands only the ranks in its window, so its cost follows
+the window and the number of runs, not the number of words.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 from .alphabet import Alphabet
 from .gamma import solve_gamma
 from .pyramid import Level, LevelTable
-from .simulate import RankFrequency
+from .simulate import RankFrequency, expand_runs
 
 DEFAULT_R_MIN = 10
 DEFAULT_R_MAX_CAP = 10**4
@@ -37,12 +39,6 @@ class ComparisonReport:
     rank_window: tuple[int, int]
 
 
-def _as_points(points) -> tuple[tuple[int, float], ...]:
-    if isinstance(points, RankFrequency):
-        return points.points
-    return tuple((int(r), float(f)) for r, f in points)
-
-
 def ols_loglog(
     points: RankFrequency | Iterable[tuple[int, float]],
     r_min: int = DEFAULT_R_MIN,
@@ -52,12 +48,15 @@ def ols_loglog(
 
     The default window [10, min(max rank, 10**4)] skips the head, where the
     level structure is a staircase, and the deep tail.  Requires at least 3
-    in-window points with positive frequency.
+    in-window points with positive frequency.  Only the window's ranks of a
+    RankFrequency are expanded; other points are taken unchecked.
     """
-    pts = _as_points(points)
+    runs = points.runs if isinstance(points, RankFrequency) else [
+        (int(r), int(r), float(f)) for r, f in points
+    ]
     if r_max is None:
-        r_max = min(max((r for r, _ in pts), default=0), DEFAULT_R_MAX_CAP)
-    window = [(r, f) for r, f in pts if r_min <= r <= r_max]
+        r_max = min(max((hi for _lo, hi, _f in runs), default=0), DEFAULT_R_MAX_CAP)
+    window = list(expand_runs(runs, r_min, r_max))
     if len(window) < 3:
         raise ValueError(
             f"need at least 3 points with rank in [{r_min}, {r_max}], got {len(window)}"
@@ -94,7 +93,7 @@ def compare(fit: FitResult, alphabet: Alphabet) -> ComparisonReport:
 
 
 def rank_freq_from_levels(levels: LevelTable | Sequence[Level]) -> RankFrequency:
-    """One point per level, at rank_lo with the level's exact probability.
+    """One point per level: a one-rank run at rank_lo with the level's probability.
 
     Using one point per class avoids overweighting wide levels in a fit;
     expand per rank yourself if you want the step function sampled instead.
@@ -102,4 +101,4 @@ def rank_freq_from_levels(levels: LevelTable | Sequence[Level]) -> RankFrequency
     seq = tuple(levels)
     if not seq:
         raise ValueError("empty level table")
-    return RankFrequency(tuple((lv.rank_lo, math.exp(lv.log_prob)) for lv in seq))
+    return RankFrequency(tuple((lv.rank_lo, lv.rank_lo, math.exp(lv.log_prob)) for lv in seq))

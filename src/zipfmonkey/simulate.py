@@ -9,27 +9,29 @@ words" trivially true.
 
 Generation is vectorized with numpy and driven by PCG64; numpy is imported
 inside the function that draws words, so importing this module (and with
-it the package and the CLI) does not load it.  A fixed
-(alphabet, word_count, seed, streams) quadruple reproduces the same table
-within one build.  Multiple streams partition the word count across
-generators spawned from one SeedSequence, and every stream adds its words
-to one counter.
+it the package and the CLI) does not load it.  A fixed (alphabet,
+word_count, seed) triple reproduces the same table within one build.
 
 A word is a str from the draw to the output: letter i is the code point
 i + 1, so words sort like their letter-index tuples and the empty word is
-"".  Each stream draws all word lengths, then takes them in blocks of
+"".  The generator draws all word lengths, then takes them in blocks of
 about 2**18 code points (letters and separators): it draws a block's
 letters, writes them as code points with a 0 between words, decodes them
 and counts the words.  Memory grows with the words, the distinct words
 and one block's letters, not with all the letters; the block size changes
 no count.  The encoding allows at most sys.maxunicode letters.
+
+A rank-frequency curve is held as runs of equal frequency, one per distinct
+count (the frequency spectrum), not as one point per word.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .alphabet import Alphabet
@@ -56,28 +58,39 @@ class FrequencyTable:
 
 @dataclass(frozen=True)
 class RankFrequency:
-    """(rank, relative frequency) points, ranks ascending, freqs nonincreasing."""
+    """Runs (rank_lo, rank_hi, freq): every rank of a run has the relative
+    frequency freq.  Runs ascend in rank without overlap (gaps allowed) and
+    their freqs are nonincreasing.  Iterating yields the (rank, freq) points."""
 
-    points: tuple[tuple[int, float], ...]
+    runs: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        pts = []
-        for r, f in self.points:
-            r, f = int(r), float(f)
+        runs = []
+        for lo, hi, f in self.runs:
+            lo, hi, f = int(lo), int(hi), float(f)
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"frequency out of (0, 1]: {f}")
-            if pts and r <= pts[-1][0]:
-                raise ValueError("ranks must be strictly increasing")
-            if pts and f > pts[-1][1]:
+            if hi < lo:
+                raise ValueError(f"empty run: rank_hi {hi} < rank_lo {lo}")
+            if runs and lo <= runs[-1][1]:
+                raise ValueError("runs must ascend in rank without overlap")
+            if runs and f > runs[-1][2]:
                 raise ValueError("frequencies must be nonincreasing")
-            pts.append((r, f))
-        object.__setattr__(self, "points", tuple(pts))
+            runs.append((lo, hi, f))
+        object.__setattr__(self, "runs", tuple(runs))
 
-    def __len__(self) -> int:
-        return len(self.points)
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return expand_runs(self.runs)
 
-    def __iter__(self):
-        return iter(self.points)
+    @property
+    def points(self) -> tuple[tuple[int, float], ...]:  # one tuple per rank
+        return tuple(self)
+
+
+def expand_runs(runs, r_min=-math.inf, r_max=math.inf) -> Iterator[tuple[int, float]]:
+    """The (rank, freq) points of runs (rank_lo, rank_hi, freq) with r_min <=
+    rank <= r_max, rank by rank; ranks outside the window are never expanded."""
+    return ((r, f) for lo, hi, f in runs for r in range(max(lo, r_min), min(hi, r_max) + 1))
 
 
 def _generate_stream(
@@ -110,7 +123,6 @@ def generate_words(
     word_count: int,
     seed: int,
     *,
-    streams: int = 1,
     skip_empty: bool = False,
     word_cap: int = DEFAULT_WORD_CAP,
 ) -> FrequencyTable:
@@ -127,41 +139,36 @@ def generate_words(
         raise ValueError(f"word_count must be positive, got {word_count}")
     if word_count > word_cap:
         raise ValueError(f"word_count {word_count} exceeds the cap {word_cap}")
-    if streams < 1:
-        raise ValueError(f"streams must be positive, got {streams}")
     if alphabet.n > sys.maxunicode:  # letter i is encoded as the code point i + 1
         raise ValueError(f"simulation allows at most {sys.maxunicode} letters, got {alphabet.n}")
 
     import numpy as np
 
-    # children are indexed by spawn key, so spawning only the streams that
-    # get a word leaves every drawn stream as it was
-    children = np.random.SeedSequence(seed).spawn(min(streams, word_count))
-    base, extra = divmod(word_count, len(children))
+    # the stream SeedSequence(seed).spawn(1)[0], so a seed draws what it always drew
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
     counts: Counter[Word] = Counter()
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        _generate_stream(alphabet, base + (i < extra), rng, word_cap, counts)
+    _generate_stream(alphabet, word_count, rng, word_cap, counts)
     if skip_empty:
         word_count -= counts.pop("", 0)
     return FrequencyTable(counts, word_count)
 
 
 def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
-    """Rank words by count: the rank-r point is (r, r-th largest count / total).
+    """Rank words by count: the k words seen c times share one run of k
+    ranks at frequency c / total, after the more frequent words.
 
-    Takes a FrequencyTable or the bare counts, one per distinct word.  Tied
-    words share a frequency, so the points do not depend on their order.
-    An empty input or a count that is not positive raises ValueError.
+    Takes a FrequencyTable or the bare counts, one per distinct word.  An
+    empty input or a count that is not positive raises ValueError.
     """
     counts = table.entries.values() if isinstance(table, FrequencyTable) else table
-    ranked = sorted(counts, reverse=True)
-    if not ranked:
+    spectrum = sorted(Counter(counts).items(), reverse=True)  # (count, words seen so often)
+    if not spectrum:
         raise ValueError("empty frequency table")
-    if ranked[-1] <= 0:
-        raise ValueError(f"counts must be positive, got {ranked[-1]}")
-    total = sum(ranked)
-    return RankFrequency(tuple((i + 1, c / total) for i, c in enumerate(ranked)))
+    if spectrum[-1][0] <= 0:
+        raise ValueError(f"counts must be positive, got {spectrum[-1][0]}")
+    total = sum(c * k for c, k in spectrum)
+    his = accumulate(k for _c, k in spectrum)
+    return RankFrequency(tuple((hi - k + 1, hi, c / total) for (c, k), hi in zip(spectrum, his)))
 
 
 def word_rows(

@@ -10,7 +10,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +29,8 @@ from zipfmonkey import (
     weight_events,
 )
 from zipfmonkey import cli as cli_mod
+from zipfmonkey import fit as fit_mod
+from zipfmonkey import simulate
 from zipfmonkey.cli import main
 from zipfmonkey.errors import BoundViolationError
 
@@ -228,18 +229,6 @@ class TestSimulateCommand:
         assert sum(int(c) for _w, c in rows) == 500
         assert rows[0][0] == "<EPS>"  # p0=0.4 makes the empty word the mode
 
-    def test_streams_beyond_words_cost_nothing(self, capsys):
-        # only streams that get a word are spawned; the header echoes --streams
-        args = ("simulate", "--gusein-zade", "4", "--p0", "0.2", "--n-words", "10", "--seed", "7")
-        code, few, _ = run(capsys, *args, "--streams", "10")
-        assert code == 0
-        start = time.perf_counter()
-        code, many, _ = run(capsys, *args, "--streams", str(10**12))
-        assert code == 0
-        assert time.perf_counter() - start < 5.0
-        assert tsv_rows(many) == tsv_rows(few)
-        assert f"streams={10**12}" in many
-
     def test_seed_required_with_out(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "simulate", "--uniform", "2", "--p0", "0.4",
@@ -295,6 +284,29 @@ class TestFitAndCompare:
         lines = plot.read_text().splitlines()
         assert lines[0] == "lg_r,lg_f,lg_f_fit"
         assert len(lines) == 50  # header + ranks 2..50
+
+    def test_compare_expands_only_the_window(self, capsys, monkeypatch, tmp_path):
+        # 5,000 words in 50 runs of equal count: only ranks 10..300 become points
+        path = tmp_path / "words.tsv"
+        path.write_text("".join(f"w{i}\t{60 - i // 100}\n" for i in range(5000)))
+        expanded = []
+
+        def counted(runs, r_min, r_max):
+            for point in simulate.expand_runs(runs, r_min, r_max):
+                expanded.append(point)
+                yield point
+
+        def whole_curve(self):
+            raise AssertionError("expanded every rank")
+
+        monkeypatch.setattr(fit_mod, "expand_runs", counted)
+        monkeypatch.setattr(simulate.RankFrequency, "__iter__", whole_curve)
+        code, out, err = run(
+            capsys, "compare", "--in", str(path), "--uniform", "3", "--p0", "0.2",
+            "--window", "10", "300",
+        )
+        assert code == 0, err
+        assert [r for r, _f in expanded] == list(range(10, 301))
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_word_counts_last_row_wins(self, capsys, tmp_path, command):
@@ -622,6 +634,75 @@ class TestExactOutputsPinned:
         assert int(tsv_rows(out)[-1][1]) >= 2000
 
 
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCurveOutputsPinned:
+    """Outputs of the commands that read or write rank-frequency curves,
+    digests taken before curves became runs of equal frequency."""
+
+    @pytest.fixture(scope="class")
+    def words(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("curves") / "words.tsv"
+        code = main([
+            "simulate", "--gusein-zade", "5", "--p0", "0.18", "--n-words", "20000",
+            "--seed", "7", "--out", str(path),
+        ])
+        assert code == 0
+        return path
+
+    def test_compare(self, capsys, words):
+        code, out, _ = run(
+            capsys, "compare", "--in", str(words), "--gusein-zade", "5", "--p0", "0.18"
+        )
+        assert code == 0
+        assert sha(out) == "2d09a09db450c08713ef53aea30ff299505114b0b62be4b874a3cca2b0b2059a"
+
+    def test_fit_plot_data(self, capsys, words, tmp_path):
+        plot = tmp_path / "plot.csv"
+        code, out, _ = run(
+            capsys, "fit", "--in", str(words), "--window", "10", "300", "--plot-data", str(plot)
+        )
+        assert code == 0
+        assert sha(out) == "b0626f877c034a6f33194220849b0ea4bdc049653f932ae44b8c3aafb278ef72"
+        assert sha(plot.read_text()) == (
+            "50e69309d7031fc5379547c1a5a86cc8b1c30c7aefc960071f5572b719d06f39"
+        )
+
+    def test_fit_ranks_of_a_simulated_table(self, capsys, words, tmp_path):
+        # the table's own curve written one rank per row: ties give equal freqs
+        counts = sorted((int(c) for _w, c in tsv_rows(words.read_text())), reverse=True)
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text("".join(f"{i + 1}\t{c / 20000!r}\n" for i, c in enumerate(counts)))
+        code, out, _ = run(capsys, "fit", "--in", str(ranks), "--kind", "ranks")
+        assert code == 0
+        assert sha(out) == "38ecce621ac7d457a37e240f991c1e41a9a092694abfaca2435ab8073ec29e54"
+
+    def test_rank_file_with_gaps(self, capsys, tmp_path):
+        # triangular ranks, frequencies flat over each three, rows in reverse
+        rows = [f"{k * (k + 1) // 2}\t{0.4 / (1 + k // 3) ** 1.7!r}\n" for k in range(1, 81)]
+        ranks, plot = tmp_path / "gaps.tsv", tmp_path / "plot.csv"
+        ranks.write_text("".join(reversed(rows)))
+        code, out, _ = run(
+            capsys, "fit", "--in", str(ranks), "--window", "2", "2000", "--plot-data", str(plot)
+        )
+        assert code == 0
+        assert sha(out) == "e96537d078e3b267fdc4fa6bf59ac56314bab9efab4c9ae95a0d336daded3f6d"
+        assert sha(plot.read_text()) == (
+            "9dbe3dec47d26bea718b31628309fa539a79e3341c42ad5d81caae7f8d6c25fb"
+        )
+
+    def test_ingest(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(seeded_corpus(41, 20000, 30), encoding="utf-8")
+        code, out, _ = run(capsys, "ingest", "--corpus", str(corpus))
+        assert code == 0
+        assert data_digest(out) == (
+            "3748750b0feee37605591226f08d78fcba72c17eaa7226e60078a5c8a165c224"
+        )
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -695,7 +776,6 @@ COMMAND_OPTIONS = {
     "simulate": {
         "--n-words": ["1", "2000"],
         "--seed": ["7"],
-        "--streams": ["1", "3", str(10**12)],
         "--skip-empty": None,
     },
     "fit": {"--in": "tsv", "--kind": ["auto", "ranks", "words"], "--window": "window"},

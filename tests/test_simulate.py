@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipfmonkey import (
     FrequencyTable,
@@ -18,6 +20,7 @@ from zipfmonkey import (
     make_explicit,
     make_gusein_zade,
     make_uniform,
+    ols_loglog,
 )
 from zipfmonkey import simulate
 from zipfmonkey.cli import main
@@ -66,13 +69,6 @@ class TestGenerateWords:
         se = math.sqrt(expected * (1 - expected) / N_WORDS)
         assert abs(freq - expected) <= 4 * se
 
-    def test_streams_partition_and_merge(self):
-        al = make_uniform(3, 0.25)
-        table = generate_words(al, 9999, seed=7, streams=4)
-        assert table.total_words == 9999
-        again = generate_words(al, 9999, seed=7, streams=4)
-        assert table.entries == again.entries
-
     def test_skip_empty(self):
         al = make_uniform(2, 0.5)
         table = generate_words(al, 10_000, seed=3, skip_empty=True)
@@ -85,8 +81,6 @@ class TestGenerateWords:
             generate_words(make_explicit((0.5, 0.5), 0.0), 100, seed=1)
         with pytest.raises(ValueError):
             generate_words(make_uniform(2, 0.3), 0, seed=1)
-        with pytest.raises(ValueError):
-            generate_words(make_uniform(2, 0.3), 100, seed=1, streams=0)
         with pytest.raises(ValueError):
             generate_words(make_uniform(2, 0.3), 10**9 + 1, seed=1, word_cap=10**9)
 
@@ -183,30 +177,29 @@ class TestCounting:
         assert rng.sizes == [int(lengths[i : i + block].sum()) for i in range(0, 6000, block)]
         assert got == _reference_counts(alphabet, 6000, 11)
 
-    def test_streams_add_to_one_table(self):
-        al = make_uniform(3, 0.25)
-        children = np.random.SeedSequence(7).spawn(3)
-        expected = Counter()
-        for child, count in zip(children, (334, 333, 333)):
-            expected += _reference_counts(al, count, np.random.PCG64(child))
-        table = generate_words(al, 1000, seed=7, streams=3)
-        assert table.entries == expected
-        assert table.total_words == 1000
+    def test_cli_output_pinned(self, capsys):
+        argv = ["simulate", "--gusein-zade", "5", "--p0", "0.18", "--n-words", "20000"]
+        assert main([*argv, "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1] == "# n_words=20000 seed=7"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c1668388468a54443c32759941765598b70dd93972e8475fc9165697aa2a890c"
+        )
+        # the data rows as drawn when --streams 1 chose the one stream
+        rows = "".join(line + "\n" for line in out.splitlines() if not line.startswith("#"))
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "d2dc62405315fbbd2a048a84ceeb2fb407395ecc2ac2cf1f2a598699d0ab5325"
+        )
+        # the option is gone: a usage error, and nothing drawn
+        assert main([*argv, "--seed", "7", "--streams", "3"]) == 1
+        assert "--streams" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "streams, digest",
-        [
-            ("1", "4344af5887bb38e9325f3b14a1b585d626595ec61b511cb99c1f33e0cdbd714d"),
-            ("3", "92b66b32fe26f1f51daf4e5c69c8b8d7b4a67807fe338de8849ac2aedcc8a893"),
-        ],
-    )
-    def test_cli_output_pinned(self, capsys, streams, digest):
-        code = main([
-            "simulate", "--gusein-zade", "5", "--p0", "0.18", "--n-words", "20000",
-            "--seed", "7", "--streams", streams,
-        ])
-        assert code == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    def test_one_stream_of_the_seed_sequence(self):
+        # the table is drawn from SeedSequence(seed).spawn(1)[0], as before
+        al = make_uniform(3, 0.25)
+        child = np.random.SeedSequence(7).spawn(1)[0]
+        expected = _reference_counts(al, 1000, np.random.PCG64(child))
+        assert generate_words(al, 1000, seed=7).entries == expected
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -312,18 +305,79 @@ class TestEmpiricalRankFreq:
 
 class TestRankFrequencyInvariants:
     def test_accepts_valid(self):
-        RankFrequency(((1, 0.5), (2, 0.5), (3, 0.1)))
+        rf = RankFrequency(((1, 2, 0.5), (3, 3, 0.1)))
+        assert rf.points == ((1, 0.5), (2, 0.5), (3, 0.1))
+
+    def test_accepts_gaps_between_runs(self):
+        rf = RankFrequency(((1, 1, 0.5), (4, 5, 0.1), (9, 9, 0.1)))
+        assert rf.points == ((1, 0.5), (4, 0.1), (5, 0.1), (9, 0.1))
 
     def test_rejects_nonincreasing_ranks(self):
-        with pytest.raises(ValueError):
-            RankFrequency(((1, 0.5), (1, 0.4)))
+        with pytest.raises(ValueError, match="overlap"):
+            RankFrequency(((1, 1, 0.5), (1, 1, 0.4)))
+        with pytest.raises(ValueError, match="overlap"):
+            RankFrequency(((5, 6, 0.5), (1, 2, 0.4)))
+
+    def test_rejects_overlapping_runs(self):
+        with pytest.raises(ValueError, match="overlap"):
+            RankFrequency(((1, 3, 0.5), (3, 4, 0.4)))
+
+    def test_rejects_rank_hi_below_rank_lo(self):
+        with pytest.raises(ValueError, match="rank_hi 2 < rank_lo 3"):
+            RankFrequency(((3, 2, 0.5),))
 
     def test_rejects_increasing_freqs(self):
-        with pytest.raises(ValueError):
-            RankFrequency(((1, 0.1), (2, 0.4)))
+        with pytest.raises(ValueError, match="nonincreasing"):
+            RankFrequency(((1, 1, 0.1), (2, 2, 0.4)))
 
     def test_rejects_bad_freq(self):
-        with pytest.raises(ValueError):
-            RankFrequency(((1, 0.0),))
-        with pytest.raises(ValueError):
-            RankFrequency(((1, 1.2),))
+        with pytest.raises(ValueError, match="out of"):
+            RankFrequency(((1, 1, 0.0),))
+        with pytest.raises(ValueError, match="out of"):
+            RankFrequency(((1, 1, 1.2),))
+
+    def test_empty_curve_cannot_be_fitted(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            ols_loglog(RankFrequency(()))
+
+
+def per_word_points(counts):
+    """The curve as built before runs: one (rank, freq) point per word."""
+    total = sum(counts)
+    return tuple((i + 1, c / total) for i, c in enumerate(sorted(counts, reverse=True)))
+
+
+def fit_or_error(points, *window):
+    try:
+        return ols_loglog(points, *window)
+    except ValueError as exc:
+        return str(exc)
+
+
+# mostly small counts, so most words share their count with others
+TIED_COUNTS = st.lists(
+    st.one_of(st.integers(1, 4), st.integers(1, 10**6)), min_size=1, max_size=600
+)
+
+
+class TestRunsMatchPerWordPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=TIED_COUNTS,
+        windows=st.lists(st.tuples(st.integers(-2, 700), st.integers(-2, 700)), max_size=4),
+    )
+    def test_points_runs_and_fits(self, counts, windows):
+        rf = empirical_rank_freq(counts)
+        points = list(rf)
+        assert tuple(points) == per_word_points(counts)
+        assert len(rf.runs) == len(set(counts))
+        assert fit_or_error(rf) == fit_or_error(points)  # the default window
+        for lo, hi in windows:
+            assert fit_or_error(rf, lo, hi) == fit_or_error(points, lo, hi)
+
+    def test_simulated_table(self, skewed_table):
+        counts = list(skewed_table.entries.values())
+        rf = empirical_rank_freq(skewed_table)
+        assert rf.points == per_word_points(counts)
+        assert len(rf.runs) == len(set(counts)) < len(counts) // 10
+        assert ols_loglog(rf, 10, 300) == ols_loglog(per_word_points(counts), 10, 300)

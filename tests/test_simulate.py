@@ -177,22 +177,46 @@ class TestCounting:
         assert rng.sizes == [int(lengths[i : i + block].sum()) for i in range(0, 6000, block)]
         assert got == _reference_counts(alphabet, 6000, 11)
 
-    def test_cli_output_pinned(self, capsys):
+    @pytest.mark.parametrize(
+        "streams, digest",
+        [
+            ("1", "4344af5887bb38e9325f3b14a1b585d626595ec61b511cb99c1f33e0cdbd714d"),
+            ("3", "92b66b32fe26f1f51daf4e5c69c8b8d7b4a67807fe338de8849ac2aedcc8a893"),
+        ],
+    )
+    def test_cli_output_pinned(self, capsys, streams, digest):
+        # digest: what `simulate ... --seed 7 --streams N` printed while the option existed
         argv = ["simulate", "--gusein-zade", "5", "--p0", "0.18", "--n-words", "20000"]
-        assert main([*argv, "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[1] == "# n_words=20000 seed=7"
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c1668388468a54443c32759941765598b70dd93972e8475fc9165697aa2a890c"
-        )
-        # the data rows as drawn when --streams 1 chose the one stream
-        rows = "".join(line + "\n" for line in out.splitlines() if not line.startswith("#"))
-        assert hashlib.sha256(rows.encode()).hexdigest() == (
-            "d2dc62405315fbbd2a048a84ceeb2fb407395ecc2ac2cf1f2a598699d0ab5325"
-        )
+        argv += ["--seed", "7"]
         # the option is gone: a usage error, and nothing drawn
-        assert main([*argv, "--seed", "7", "--streams", "3"]) == 1
-        assert "--streams" in capsys.readouterr().err
+        assert main([*argv, "--streams", streams]) == 1
+        err = capsys.readouterr()
+        assert err.out == "" and "--streams" in err.err
+
+        # N streams of SeedSequence(7).spawn(N), merged as --streams N merged them
+        al, n = make_gusein_zade(5, 0.18), int(streams)
+        base, extra = divmod(20000, n)
+        counts = Counter()
+        for i, child in enumerate(np.random.SeedSequence(7).spawn(n)):
+            rng = np.random.Generator(np.random.PCG64(child))
+            _generate_stream(al, base + (i < extra), rng, simulate.DEFAULT_WORD_CAP, counts)
+        table = FrequencyTable(counts, 20000)
+        rows = "".join(f"{w}\t{c}\n" for w, c in word_rows(table, al.labels))
+
+        def head(tail):
+            return (
+                f"# format: v1 word_count\n# n_words=20000 seed=7{tail}\n"
+                "# columns: word\tcount\n"
+            )
+
+        old = head(f" streams={streams}") + rows
+        assert hashlib.sha256(old.encode()).hexdigest() == digest
+
+        # a seed draws the rows --streams 1 drew; the header drops ' streams=1'
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(head(""))
+        assert (out == head("") + rows) == (streams == "1")
 
     def test_one_stream_of_the_seed_sequence(self):
         # the table is drawn from SeedSequence(seed).spawn(1)[0], as before

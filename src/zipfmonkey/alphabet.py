@@ -17,6 +17,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 NORMALIZATION_TOL = 1e-12
@@ -70,6 +71,12 @@ class Alphabet:
                 raise ValueError("labels must parallel letter_probs")
             if len(set(self.labels)) != len(self.labels):
                 raise ValueError("labels must be distinct")
+
+    @cached_property
+    def log_weights(self):
+        """Raw letter weights L_i = -ln(p_i) as a gamma.WeightVector, built once."""
+        from .gamma import WeightVector  # gamma imports this module
+        return WeightVector(tuple(-math.log(p) for p in self.letter_probs))
 
     @property
     def n(self) -> int:

@@ -47,10 +47,12 @@ def ols_loglog(
     """Least-squares line lg f = intercept + slope * lg r over a rank window.
 
     The default window [10, min(max rank, 10**4)] skips the head, where the
-    level structure is a staircase, and the deep tail.  Requires at least 3
-    in-window points with positive frequency.  Only the window's ranks of a
-    RankFrequency are expanded; other points are taken unchecked.
+    level structure is a staircase, and the deep tail.  Requires a window
+    1 <= r_min <= r_max with at least 3 points of positive frequency.  Only
+    the window's ranks of a RankFrequency are expanded; others go unchecked.
     """
+    if r_min < 1 or (r_max is not None and r_max < r_min):
+        raise ValueError(f"rank window [{r_min}, {r_max}] must have 1 <= r_min <= r_max")
     runs = points.runs if isinstance(points, RankFrequency) else [
         (int(r), int(r), float(f)) for r, f in points
     ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .alphabet import Alphabet
 
@@ -42,6 +43,12 @@ class WeightVector:
         for w in weights:
             if not w > 0.0:
                 raise ValueError(f"weights must be positive, got {w}")
+
+    @cached_property
+    def grid(self):
+        """The weights on their integer grid with their tie groups (pyramid._grid), built once."""
+        from .pyramid import _grid  # pyramid imports this module
+        return _grid(self.weights)
 
     @property
     def n(self) -> int:
@@ -102,8 +109,8 @@ def solve_gamma(alphabet: Alphabet, tol: float = 1e-14) -> GammaSolution:
 
 
 def log_weights(alphabet: Alphabet) -> WeightVector:
-    """Raw letter weights L_i = -ln(p_i)."""
-    return WeightVector(tuple(-math.log(p) for p in alphabet.letter_probs))
+    """Raw letter weights L_i = -ln(p_i), built once per Alphabet object."""
+    return alphabet.log_weights
 
 
 def rescale_weights(alphabet: Alphabet, gamma: GammaSolution) -> WeightVector:

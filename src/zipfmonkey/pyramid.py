@@ -21,13 +21,14 @@ sorted-sums frontier of Frederickson and Johnson, so its heap holds at
 most one node per pop.
 
 All weight comparisons run in exact integer arithmetic.  Every float is a
-dyadic rational, so weights and thresholds mapped onto a common
-denominator (_grid: the largest power of two among them, joined with an
-exact x's own) become integers; lattice sums then never suffer rounding,
-and tie groups are found by exact equality.  One tie rule holds
-everywhere: weights within TIE_EPS are one level, and a query at x (or a
-bound x_max) counts every point up to x + TIE_EPS, so levels, the jumps
-of Q and rank queries group words identically.
+dyadic rational, so the weights and TIE_EPS over their largest power-of-two
+denominator become integers (_grid, built once per WeightVector, tie
+groups included); lattice sums never suffer rounding, and ties are exact
+equalities.  A query floors x + TIE_EPS onto that grid, which is exact:
+every lattice sum is an integer there, whatever x's denominator.  One tie
+rule holds everywhere: weights within TIE_EPS are one level, and a query
+at x (or a bound x_max) counts every point up to x + TIE_EPS, so levels,
+the jumps of Q and rank queries group words identically.
 Counts are Python ints throughout: the counting function grows like
 exp(gamma * x) and leaves 64-bit range almost immediately.
 
@@ -41,10 +42,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
 from .errors import BoundViolationError, ResourceGuardError
@@ -125,27 +126,36 @@ def multinomial(k: Sequence[int]) -> int:
 # --- exact dyadic scaling ----------------------------------------------------
 
 
-def _grid(weights: Sequence[float], x: float | None = None):
-    """Map the weights, the tie tolerance and x + TIE_EPS onto one integer grid.
+class _Grid(NamedTuple):
+    """The weights as integers over a common denominator, in tie groups."""
 
-    Returns (W, T, tie, denom): W[i] = weights[i] * denom, tie = TIE_EPS *
-    denom and T = (x + TIE_EPS) * denom (None when x is None), all exact
-    integers.  Float denominators are powers of two, so the largest is
-    their lcm; x may also be an int or a Fraction, whose denominator joins
-    by one lcm.  Any common denominator gives the same counts and, by
+    w: tuple[int, ...]  # each distinct weight * denom, ascending
+    g: tuple[int, ...]  # how many letters have that weight
+    tie: int  # TIE_EPS * denom
+    denom: int
+
+    def threshold(self, x) -> int:
+        """floor((x + TIE_EPS) * denom), exactly, for a float, int or Fraction x."""
+        x_num, x_den = x.as_integer_ratio()
+        return x_num * self.denom // x_den + self.tie
+
+
+def _grid(weights: Sequence[float]) -> _Grid:
+    """Map the weights and the tie tolerance onto one integer grid.
+
+    Float denominators are powers of two, so the largest among the
+    weights' and TIE_EPS's is their lcm, and every lattice sum is an
+    integer on it.  Any common denominator gives the same counts and, by
     correctly rounded int / int division, the same floats.  This is the
     one tie rule: weights within tie of each other are one level, and a
-    point within tie above x is counted at x.
+    point within tie above x is counted at x (_Grid.threshold floors x
+    onto this grid).  WeightVector.grid builds it once per weight vector.
     """
     ratios = [w.as_integer_ratio() for w in weights]
     tie_num, tie_den = TIE_EPS.as_integer_ratio()
     denom = max(tie_den, *(d for _n, d in ratios))
-    if x is not None:
-        x_num, x_den = x.as_integer_ratio()
-        denom = math.lcm(denom, x_den)
-    tie = tie_num * (denom // tie_den)
-    T = None if x is None else x_num * (denom // x_den) + tie
-    return [n * (denom // d) for n, d in ratios], T, tie, denom
+    w, g = zip(*sorted(Counter(n * (denom // d) for n, d in ratios).items()))
+    return _Grid(w, g, tie_num * (denom // tie_den), denom)
 
 
 def _over_budget(budget: int, weight: float) -> ResourceGuardError:
@@ -158,7 +168,7 @@ def _over_budget(budget: int, weight: float) -> ResourceGuardError:
 # --- evaluators --------------------------------------------------------------
 
 
-def _region_sum(W: list[int], T: int, budget: int, denom: int) -> int:
+def _region_sum(grid: _Grid, T: int, budget: int) -> int:
     """Sum of multinomial(k) over the region sum(k_i * W_i) <= T.
 
     Letters of equal weight form one group: g letters in k slots make g**k
@@ -173,66 +183,64 @@ def _region_sum(W: list[int], T: int, budget: int, denom: int) -> int:
     """
     if T < 0:
         return 0
-    ties = Counter(W)
-    w = sorted(ties, reverse=True)
-    g = [ties[wi] for wi in w]
-    neg = [-wi for wi in w]  # ascending, for bisect
-    last = len(w) - 1
-    wl, gl = w[last], g[last]
+    w, g = grid.w, grid.g  # ascending, so the lightest group is index 0
+    wl, gl = w[0], g[0]
     nodes = 0
     total = 0
-    stack = [(0, T, 0, 1)]  # (group, remaining weight, letters so far, coefficient)
+    stack = [(len(w) - 1, T, 0, 1)]  # (group, remaining weight, letters so far, coefficient)
     while stack:
-        i, rem, letters, coeff = stack.pop()
-        i = bisect_left(neg, -rem, i)
+        j, rem, letters, coeff = stack.pop()
+        j = bisect_right(w, rem, 0, j + 1) - 1  # the heaviest group that fits, or -1
         k = 0
         while True:
-            if i < last - 1:
-                stack.append((i + 1, rem, letters + k, coeff))
+            if j > 1:
+                stack.append((j - 1, rem, letters + k, coeff))
             else:
                 t = letters + k
                 m = rem // wl
                 nodes += m + 1
                 if nodes > budget:
-                    raise _over_budget(budget, T / denom)
+                    raise _over_budget(budget, T / grid.denom)
                 total += coeff * (
                     math.comb(t + m + 1, m) if gl == 1
-                    else sum(math.comb(t + j, j) * gl ** j for j in range(m + 1))
+                    else sum(math.comb(t + i, i) * gl ** i for i in range(m + 1))
                 )
-                if i >= last:  # landed on the lightest group, or past it
+                if j <= 0:  # landed on the lightest group, or below it
                     break
-            rem -= w[i]
+            rem -= w[j]
             if rem < 0:
                 break
             k += 1
-            coeff = coeff * (letters + k) // k * g[i]  # C(letters+k, k) * g**k
+            coeff = coeff * (letters + k) // k * g[j]  # C(letters+k, k) * g**k
     return total
 
 
-def _memo_sum(W: list[int], T: int, budget: int, denom: int) -> int:
+def _memo_sum(grid: _Grid, T: int, budget: int) -> int:
     """Same region count via the functional equation, memoized.
 
-    The value at remaining budget T - w depends on w alone, so the memo is
+    The value at remaining budget T - s depends on s alone, so the memo is
     keyed on the exact reachable weight sums; tied lattice points share one
-    entry.  Iterative post-order to sidestep recursion limits.
+    entry, and g letters of one weight are one term times g.  Iterative
+    post-order to sidestep recursion limits.
     """
     if T < 0:
         return 0
+    w, g = grid.w, grid.g
     memo: dict[int, int] = {}
     stack = [0]
     while stack:
-        w = stack[-1]
-        if w in memo:
+        s = stack[-1]
+        if s in memo:
             stack.pop()
             continue
-        missing = [w + wi for wi in W if w + wi <= T and (w + wi) not in memo]
+        missing = [s + wi for wi in w if s + wi <= T and (s + wi) not in memo]
         if missing:
             stack.extend(missing)
             continue
-        memo[w] = 1 + sum(memo[w + wi] for wi in W if w + wi <= T)
+        memo[s] = 1 + sum(gi * memo[s + wi] for wi, gi in zip(w, g) if s + wi <= T)
         stack.pop()
         if len(memo) > budget:
-            raise _over_budget(budget, T / denom)
+            raise _over_budget(budget, T / grid.denom)
     return memo[0]
 
 
@@ -246,8 +254,8 @@ def q_tilde_direct(
     """
     if x < 0:
         return 0
-    W, T, _tie, denom = _grid(weights.weights, x)
-    return _region_sum(W, T, node_budget, denom)
+    grid = weights.grid
+    return _region_sum(grid, grid.threshold(x), node_budget)
 
 
 def q_tilde_recursive(
@@ -256,8 +264,8 @@ def q_tilde_recursive(
     """Same value as q_tilde_direct, via the memoized functional equation."""
     if x < 0:
         return 0
-    W, T, _tie, denom = _grid(weights.weights, x)
-    return _memo_sum(W, T, node_budget, denom)
+    grid = weights.grid
+    return _memo_sum(grid, grid.threshold(x), node_budget)
 
 
 def functional_equation_residual(
@@ -265,13 +273,15 @@ def functional_equation_residual(
 ) -> int:
     """Q(x) - sum_i Q(x - L_i) - step(x); zero when the evaluators are sound.
 
-    The shifted arguments x - L_i are formed exactly on the integer grid, and
-    the step term uses the same tie tolerance as the counting function, so
-    the identity is checked without any rounding slack.
+    The shifted arguments x - L_i are formed exactly on the integer grid, one
+    per tie group times its size, and the step term uses the same tie
+    tolerance as the counting function, so the identity is checked without
+    any rounding slack.
     """
-    W, T, _tie, denom = _grid(weights.weights, x)
-    lhs = _region_sum(W, T, node_budget, denom)
-    shifted = sum(_region_sum(W, T - wi, node_budget, denom) for wi in W)
+    grid = weights.grid
+    T = grid.threshold(x)
+    lhs = _region_sum(grid, T, node_budget)
+    shifted = sum(gi * _region_sum(grid, T - wi, node_budget) for wi, gi in zip(grid.w, grid.g))
     step = 1 if T >= 0 else 0
     return lhs - shifted - step
 
@@ -305,7 +315,7 @@ def rank_of_probability(
 
 
 def _iter_levels(
-    weights: Sequence[float], x: float | None, budget: int
+    weights: WeightVector, x: float | None, budget: int
 ) -> Iterator[tuple[float, int]]:
     """Yield (weight, word_count) per level of the word list, by weight.
 
@@ -325,8 +335,9 @@ def _iter_levels(
     ResourceGuardError is raised once more than budget lattice points have
     been popped through the open level; the levels before it are yielded.
     """
-    W, T, tie, denom = _grid(weights, x)
-    w, g = zip(*sorted(Counter(W).items()))
+    grid = weights.grid
+    w, g, tie, denom = grid
+    T = None if x is None else grid.threshold(x)
     last = len(w) - 1
     reach = math.inf if T is None else T + tie  # the last level's own tie
     heap = [(0, 1, 0, 0, 0, 1)]
@@ -386,7 +397,7 @@ def enumerate_levels(
     levels: list[Level] = []
     rank = 1
     try:
-        for weight, count in _iter_levels(log_weights(alphabet).weights, max_weight, node_budget):
+        for weight, count in _iter_levels(log_weights(alphabet), max_weight, node_budget):
             levels.append(Level(weight, count, rank, rank + count - 1, log_p0 - weight))
             rank += count
             if max_rank is not None and rank > max_rank:
@@ -424,7 +435,7 @@ def weight_events(
         return []
     events: list[tuple[float, int]] = []
     cum = 0
-    for weight, count in _iter_levels(weights.weights, x_max, node_budget):
+    for weight, count in _iter_levels(weights, x_max, node_budget):
         cum += count
         events.append((weight, cum))
     return events

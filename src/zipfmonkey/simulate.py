@@ -58,9 +58,9 @@ class FrequencyTable:
 
 @dataclass(frozen=True)
 class RankFrequency:
-    """Runs (rank_lo, rank_hi, freq): every rank of a run has the relative
-    frequency freq.  Runs ascend in rank without overlap (gaps allowed) and
-    their freqs are nonincreasing.  Iterating yields the (rank, freq) points."""
+    """Runs (rank_lo, rank_hi, freq) of ranks >= 1, each rank of a run at the
+    relative frequency freq.  Runs ascend in rank without overlap (gaps
+    allowed), freqs nonincreasing.  Iterating yields the (rank, freq) points."""
 
     runs: tuple[tuple[int, int, float], ...]
 
@@ -70,6 +70,8 @@ class RankFrequency:
             lo, hi, f = int(lo), int(hi), float(f)
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"frequency out of (0, 1]: {f}")
+            if lo < 1:
+                raise ValueError(f"ranks start at 1, got rank {lo}")
             if hi < lo:
                 raise ValueError(f"empty run: rank_hi {hi} < rank_lo {lo}")
             if runs and lo <= runs[-1][1]:

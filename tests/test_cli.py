@@ -285,6 +285,24 @@ class TestFitAndCompare:
         assert lines[0] == "lg_r,lg_f,lg_f_fit"
         assert len(lines) == 50  # header + ranks 2..50
 
+    @pytest.mark.parametrize("window", [[], ["--window", "0", "3"]], ids=["default", "0-3"])
+    def test_rank_below_one_names_the_rule(self, capsys, tmp_path, window):
+        path = tmp_path / "r0.tsv"
+        path.write_text("0\t0.5\n1\t0.4\n2\t0.3\n3\t0.2\n")
+        code, out, err = run(capsys, "fit", "--in", str(path), "--kind", "ranks", *window)
+        assert (code, out) == (2, "")
+        assert err == "error: ranks start at 1, got rank 0\n"
+
+    def test_window_below_rank_one_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "words.tsv"
+        path.write_text("".join(f"w{i}\t{1000 // i}\n" for i in range(1, 400)))
+        code, out, err = run(
+            capsys, "compare", "--in", str(path), "--uniform", "3", "--p0", "0.2",
+            "--window", "0", "300",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: rank window [0, 300] must have 1 <= r_min <= r_max\n"
+
     def test_compare_expands_only_the_window(self, capsys, monkeypatch, tmp_path):
         # 5,000 words in 50 runs of equal count: only ranks 10..300 become points
         path = tmp_path / "words.tsv"

@@ -61,6 +61,12 @@ class TestOlsExactness:
         with pytest.raises(ValueError):
             ols_loglog([(r, 1 / r) for r in range(1, 50)], 40, 41)
 
+    def test_rejects_window_outside_the_ranks(self):
+        pts = [(r, 1.0 / r) for r in range(1, 50)]
+        for r_min, r_max in ((0, 10), (-5, 10), (0, None), (10, 5)):
+            with pytest.raises(ValueError, match=rf"rank window \[{r_min}, {r_max}\]"):
+                ols_loglog(pts, r_min, r_max)
+
     def test_default_window(self):
         pts = [(r, 1.0 / r) for r in range(1, 50_000)]
         fit = ols_loglog(pts)

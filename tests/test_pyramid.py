@@ -3,11 +3,14 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_alphabet
@@ -20,6 +23,7 @@ from zipfmonkey import (
     make_uniform,
     multinomial,
     p_of_rank,
+    pyramid,
     q_tilde_direct,
     q_tilde_recursive,
     rank_of_probability,
@@ -30,7 +34,16 @@ from zipfmonkey import (
 )
 from zipfmonkey.errors import BoundViolationError, ResourceGuardError
 from zipfmonkey.gamma import WeightVector
-from zipfmonkey.pyramid import TIE_EPS, LevelTable, _grid
+from zipfmonkey.pyramid import (
+    DEFAULT_NODE_BUDGET,
+    TIE_EPS,
+    LevelTable,
+    _grid,
+    _Grid,
+    _iter_levels,
+    _memo_sum,
+    _region_sum,
+)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -269,17 +282,135 @@ GRID_X = st.one_of(
 class TestGrid:
     @given(st.lists(GRID_WEIGHT, min_size=1, max_size=6), GRID_X)
     def test_matches_fraction_reference(self, weights, x):
-        W, T, tie, denom = _grid(weights, x)
+        grid = _grid(weights)
         W0, T0, tie0, denom0 = fraction_grid(weights, x)
+        # the weights in tie groups: each distinct weight once, ascending, with
+        # its number of letters
+        W = [wi for wi, gi in zip(grid.w, grid.g) for _ in range(gi)]
+        assert list(grid.w) == sorted(set(W)) and len(W) == len(weights)
         # the same rationals on possibly different denominators ...
-        assert [w * denom0 for w in W] == [w * denom for w in W0]
-        assert tie * denom0 == tie0 * denom
-        assert (T is None) == (T0 is None)
-        if T is not None:
-            assert T * denom0 == T0 * denom
-            assert T / denom == T0 / denom0
+        assert [w * denom0 for w in W] == sorted(w * grid.denom for w in W0)
+        assert grid.tie * denom0 == tie0 * grid.denom
         # ... so the walks' float reports round alike
-        assert [w / denom for w in W] == [w / denom0 for w in W0]
+        assert [w / grid.denom for w in W] == sorted(w / denom0 for w in W0)
+        if x is not None:
+            # every lattice sum is a whole number of the weights' grid steps,
+            # so x + TIE_EPS is floored onto that grid
+            assert grid.threshold(x) == T0 * grid.denom // denom0
+
+
+def fine_grid(weights, x):
+    """The grid the walks used before thresholds were floored: x's own
+    denominator joins the weights', and x + TIE_EPS is exact on it."""
+    W0, T0, tie0, denom0 = fraction_grid(weights, x)
+    w, g = zip(*sorted(Counter(W0).items()))
+    return _Grid(w, g, tie0, denom0), T0
+
+
+# ordinary, tied and dyadic weights, so lattice sums coincide and tie
+FINE_ALPHABETS = [
+    make_explicit((0.3, 0.3, 0.2), 0.2),
+    make_explicit((0.45, 0.25, 0.12), 0.18),
+    make_gusein_zade(5, 0.18),
+    dyadic(4),
+]
+FINE_OFFSET = st.one_of(  # finer than any weight's denominator
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e-30, max_value=1e-12),
+    st.sampled_from([Fraction(1, 3), Fraction(1, 3 * 2**100), Fraction(7, 3 * 2**90)]),
+)
+
+
+@st.composite
+def finer_x(draw, weights):
+    """x on a finer grid than the weights: a tiny or subnormal float, a
+    third, or a sum of 1-3 weights moved by a tiny offset, with or without
+    -TIE_EPS, so that x + TIE_EPS lands just beside a lattice sum."""
+    kind = draw(st.sampled_from(["tiny", "third", "beside"]))
+    if kind == "tiny":
+        return draw(st.floats(min_value=5e-324, max_value=1e-12))
+    if kind == "third":
+        return Fraction(draw(st.integers(1, 20).filter(lambda n: n % 3)), 3)
+    picks = draw(st.lists(st.sampled_from(weights), min_size=1, max_size=3))
+    offset = Fraction(draw(FINE_OFFSET)) * draw(st.sampled_from([1, -1]))
+    shift = draw(st.sampled_from([0, Fraction(TIE_EPS)]))
+    return sum(Fraction(w) for w in picks) - shift + offset
+
+
+class TestFinerThreshold:
+    @settings(deadline=None)
+    @given(st.sampled_from(FINE_ALPHABETS), st.data())
+    def test_counts_equal_the_fine_grid(self, al, data):
+        wv = log_weights(al)
+        x = data.draw(finer_x(wv.weights))
+        fine, T0 = fine_grid(wv.weights, x)
+        assert fine.denom % wv.grid.denom == 0
+        assume(fine.denom > wv.grid.denom)  # a float such as 2**-60 is on the weights' grid
+        assert fine.threshold(x) == T0  # exact on the fine grid
+        budget = DEFAULT_NODE_BUDGET
+        direct = _region_sum(fine, T0, budget)
+        assert q_tilde_direct(wv, x) == direct
+        assert q_tilde_recursive(wv, x) == _memo_sum(fine, T0, budget) == direct
+        assert functional_equation_residual(wv, x) == 0
+        levels = list(_iter_levels(SimpleNamespace(grid=fine), x, budget))
+        counts = list(itertools.accumulate(c for _w, c in levels))
+        assert weight_events(wv, x) == [(w, q) for (w, _c), q in zip(levels, counts)]
+        table = enumerate_levels(al, max_weight=x)
+        assert not table.truncated
+        assert [(lv.weight, lv.word_count) for lv in table] == levels
+
+
+class TestWeightCache:
+    def test_one_weight_vector_and_one_grid_per_alphabet(self, monkeypatch):
+        built = Counter()
+        post_init, grid = WeightVector.__post_init__, pyramid._grid
+
+        def counting_post_init(self):
+            built["weight vectors"] += 1
+            post_init(self)
+
+        def counting_grid(weights):
+            built["grids"] += 1
+            return grid(weights)
+
+        monkeypatch.setattr(WeightVector, "__post_init__", counting_post_init)
+        monkeypatch.setattr(pyramid, "_grid", counting_grid)
+        al = make_uniform(26, 1 / 27)
+        ranks = [rank_of_probability(al, f) for f in (1e-3, 1e-5, 1e-7, 1e-5, 1 / 27)]
+        enumerate_levels(al, max_rank=1000)
+        assert built == {"weight vectors": 1, "grids": 1}
+        assert ranks[1] == ranks[3] and ranks[-1] == 1
+
+    def test_value_semantics_hold_after_a_query(self):
+        al, fresh = make_gusein_zade(5, 0.18), make_gusein_zade(5, 0.18)
+        rank = rank_of_probability(al, 1e-4)
+        wv = log_weights(al)
+        fresh_wv = WeightVector(wv.weights)
+        for obj, twin in ((al, fresh), (wv, fresh_wv)):
+            assert obj == twin and hash(obj) == hash(twin) and repr(obj) == repr(twin)
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and hash(back) == hash(obj) and repr(back) == repr(obj)
+        assert rank_of_probability(pickle.loads(pickle.dumps(al)), 1e-4) == rank
+
+    @pytest.mark.parametrize(
+        "make", [lambda: make_gusein_zade(26, 0.18), lambda: make_uniform(26, 1 / 27)],
+        ids=["gz26", "u26"],
+    )
+    def test_equal_alphabets_built_apart_answer_alike(self, make):
+        a, b = make(), make()
+        assert a == b and log_weights(a) is not log_weights(b)
+        fs = [10.0**-e for e in range(2, 9)]
+        assert [rank_of_probability(a, f) for f in fs] == [rank_of_probability(b, f) for f in fs]
+
+    def test_tripped_query_message(self):
+        al = make_gusein_zade(5, 0.18)
+        with pytest.raises(ResourceGuardError) as exc:
+            rank_of_probability(al, 1e-9, node_budget=1000)
+        assert str(exc.value) == (
+            "node budget 1000 exhausted at weight 19.0085; "
+            "raise ZIPFMONKEY_NODE_BUDGET to allow more"
+        )
+        assert rank_of_probability(al, 1e-9) == 11806299  # the trip left the cache sound
 
 
 # one, two and three letter groups (WeightVector needs no normalization, so

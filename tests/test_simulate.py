@@ -350,6 +350,11 @@ class TestRankFrequencyInvariants:
         with pytest.raises(ValueError, match="rank_hi 2 < rank_lo 3"):
             RankFrequency(((3, 2, 0.5),))
 
+    def test_rejects_rank_below_one(self):
+        for runs in (((0, 0, 0.5),), ((0, 3, 0.5),), ((-4, -2, 0.5), (1, 1, 0.4))):
+            with pytest.raises(ValueError, match="ranks start at 1"):
+                RankFrequency(runs)
+
     def test_rejects_increasing_freqs(self):
         with pytest.raises(ValueError, match="nonincreasing"):
             RankFrequency(((1, 1, 0.1), (2, 2, 0.4)))

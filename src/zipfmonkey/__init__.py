@@ -23,14 +23,12 @@ from .fit import (
     rank_freq_from_levels,
 )
 from .gamma import GammaSolution, WeightVector, log_weights, rescale_weights, solve_gamma
-from .oracle import WordRecord, enumerate_all, oracle_rank_of_probability
 from .pyramid import (
     BoundCertificate,
     Level,
     LevelTable,
     enumerate_levels,
     functional_equation_residual,
-    multinomial,
     p_of_rank,
     q_tilde_direct,
     q_tilde_recursive,
@@ -60,10 +58,8 @@ __all__ = [
     "RankFrequency",
     "ResourceGuardError",
     "WeightVector",
-    "WordRecord",
     "compare",
     "empirical_rank_freq",
-    "enumerate_all",
     "enumerate_levels",
     "estimate_from_corpus",
     "functional_equation_residual",
@@ -72,9 +68,7 @@ __all__ = [
     "make_explicit",
     "make_gusein_zade",
     "make_uniform",
-    "multinomial",
     "ols_loglog",
-    "oracle_rank_of_probability",
     "p_of_rank",
     "predicted_exponent",
     "q_tilde_direct",

@@ -18,7 +18,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 NORMALIZATION_TOL = 1e-12
 
@@ -161,42 +161,31 @@ def make_gusein_zade(n: int, p0: float) -> Alphabet:
 
 
 def estimate_from_corpus(
-    stream: str | Iterable[str],
-    *,
-    is_letter: Callable[[str], bool] | None = None,
-    fold_case: bool = True,
-    collapse_whitespace: bool = True,
+    text: str, *, fold_case: bool = True, collapse_whitespace: bool = True
 ) -> Alphabet:
-    """Maximum-likelihood Alphabet from a character stream.
+    """Maximum-likelihood Alphabet from a text.
 
-    Characters for which is_letter holds (default: str.isalpha) count as
-    letters; whitespace counts as the space symbol; everything else is
-    dropped.  By default a maximal whitespace run is a single space event,
-    which matches natural text.  Pass collapse_whitespace=False to count
-    every whitespace character, which matches model-generated streams where
-    consecutive spaces delimit empty words.
+    Characters for which str.isalpha holds count as letters; whitespace
+    counts as the space symbol; everything else is dropped.  By default a
+    maximal whitespace run is a single space event, which matches natural
+    text.  Pass collapse_whitespace=False to count every whitespace
+    character, which matches model-generated streams where consecutive
+    spaces delimit empty words.
 
-    Each chunk is counted per character by Counter.update, and its
-    whitespace runs by one regex scan (a run split across two chunks counts
-    once); each distinct character is then classified once, so is_letter
-    and case folding run per distinct character, not per occurrence.
+    The text is counted per character by one Counter and its whitespace runs
+    by one regex scan; each distinct character is then classified once, so
+    the letter test and case folding run per distinct character, not per
+    occurrence.
     """
-    if is_letter is None:
-        is_letter = str.isalpha
-    chunks = [stream] if isinstance(stream, str) else stream
-    chars: Counter[str] = Counter()
-    runs = 0
-    in_run = False
-    for chunk in chunks:
-        chars.update(chunk)
-        if collapse_whitespace and chunk:
-            runs += len(_WHITESPACE_RUN.findall(chunk)) - (in_run and chunk[0].isspace())
-            in_run = chunk[-1].isspace()
+    chars = Counter(text)
     counts: Counter[str] = Counter()
     for ch, c in chars.items():
-        if not ch.isspace() and is_letter(ch):
+        if ch.isalpha():
             counts[ch.lower() if fold_case else ch] += c
-    spaces = runs if collapse_whitespace else sum(c for ch, c in chars.items() if ch.isspace())
+    if collapse_whitespace:
+        spaces = len(_WHITESPACE_RUN.findall(text))
+    else:
+        spaces = sum(c for ch, c in chars.items() if ch.isspace())
     total = spaces + sum(counts.values())
     if total == 0:
         raise ValueError("empty corpus: no letters or spaces after filtering")

@@ -135,14 +135,11 @@ def _cmd_levels(args) -> Output:
     def rows():
         for lv in table:
             lo, hi = lv.rank_lo, lv.rank_hi
-            if args.no_empty_word:
-                if lv.rank_lo == 1:  # the empty word's level
-                    lo += 1
-                    if hi < lo:
-                        continue
-                lo -= 1
-                hi -= 1
-            yield f"{lo}\t{hi}\t{lv.log_prob / ln10!r}\t{lv.weight!r}\t{lv.word_count}"
+            if args.no_empty_word:  # drop rank 1, the empty word, and shift down
+                lo, hi = max(lo, 2) - 1, hi - 1
+                if hi < lo:
+                    continue
+            yield f"{lo}\t{hi}\t{lv.log_prob / ln10!r}\t{lv.weight!r}\t{hi - lo + 1}"
         if table.truncated:
             yield (
                 f"# truncated: node budget {args.node_budget} reached, trailing level "
@@ -221,19 +218,17 @@ def _rank_freq_from_file(path: str, kind: str) -> simulate.RankFrequency:
     rows = _read_tsv_rows(path)
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    if kind == "auto":
-        kind = "words"
+    if kind != "ranks":  # auto: words when every second column is an int, else ranks
         try:
-            if all(int(a) >= 1 and 0.0 < float(b) <= 1.0 for a, b in rows):
-                kind = "ranks"
+            counts = {w: int(c) for w, c in rows}  # a repeated word: the last row wins
         except ValueError:
-            pass
-    if kind == "ranks":  # a run of one rank per row: the ranks may have gaps
-        pts = sorted((int(a), float(b)) for a, b in rows)
-        return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
-    counts = {w: int(c) for w, c in rows}  # a repeated word: the last row wins
-    del rows  # not held while the counts are ranked
-    return simulate.empirical_rank_freq(counts.values())
+            if kind == "words":
+                raise
+        else:
+            del rows  # not held while the counts are ranked
+            return simulate.empirical_rank_freq(counts.values())
+    pts = sorted((int(a), float(b)) for a, b in rows)  # one run per rank: gaps allowed
+    return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
 
 
 def _fit_from_args(args) -> tuple[fit_mod.FitResult, simulate.RankFrequency]:

@@ -45,6 +45,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from typing import Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
@@ -105,22 +106,6 @@ class BoundCertificate:
     base_interval_end: float
     verified_up_to: float
     event_count: int
-
-
-def multinomial(k: Sequence[int]) -> int:
-    """Exact count of distinct words with letter multiplicities k.
-
-    Computed as a product of binomials C(k_1+...+k_i, k_i), which keeps the
-    intermediates no larger than the result.
-    """
-    total = 0
-    out = 1
-    for ki in k:
-        if ki < 0:
-            raise ValueError(f"multiplicities must be nonnegative, got {ki}")
-        total += ki
-        out *= math.comb(total, ki)
-    return out
 
 
 # --- exact dyadic scaling ----------------------------------------------------
@@ -419,6 +404,14 @@ def p_of_rank(levels: LevelTable | Sequence[Level], r: int) -> float:
 # --- envelope certificate ----------------------------------------------------
 
 
+def _jumps(weights: WeightVector, x_max: float, budget: int) -> Iterator[tuple[float, int]]:
+    """(x, Q(x)) per level up to x_max, ascending, as the walk yields them."""
+    q = 0
+    for x, count in _iter_levels(weights, x_max, budget):
+        q += count
+        yield x, q
+
+
 def weight_events(
     weights: WeightVector,
     x_max: float,
@@ -431,14 +424,7 @@ def weight_events(
     TIE_EPS are one level, as in enumerate_levels, and levels are counted
     up to x_max + TIE_EPS.  So each Q(x) equals q_tilde_direct at its x.
     """
-    if x_max < 0:
-        return []
-    events: list[tuple[float, int]] = []
-    cum = 0
-    for weight, count in _iter_levels(weights, x_max, node_budget):
-        cum += count
-        events.append((weight, cum))
-    return events
+    return [] if x_max < 0 else list(_jumps(weights, x_max, node_budget))
 
 
 # Relative padding applied to the exact base extrema so the strict
@@ -478,29 +464,27 @@ def verify_bounds(
             f"({weights.L_max})"
         )
 
-    events = weight_events(weights, x_max, node_budget=node_budget)
-    shift = 1.0 / (n - 1)
     base_end = weights.L_max
+    shift = 1.0 / (n - 1)
+    # (x, sup, inf) per event interval [x, next), next being x_max after the
+    # last event; the jumps are read in pairs from the walk, not held
+    jumps = chain(_jumps(weights, x_max, node_budget), [(x_max, 0)])
+    terms = (
+        (x, (q + shift) * math.exp(-x), (q + shift) * math.exp(-max(nxt, x)))
+        for (x, q), (nxt, _q) in pairwise(jumps)
+    )
+    held = []  # the base interval's terms, then the first beyond it
+    for term in terms:
+        held.append(term)
+        if term[0] > base_end:
+            break
+    c2 = max(sup for x, sup, _inf in held if x <= base_end) * (1.0 + _ENVELOPE_PAD)
+    c1 = min(inf for x, _sup, inf in held if x <= base_end) * (1.0 - _ENVELOPE_PAD)
 
-    sups: list[float] = []
-    infs: list[float] = []
-    for j, (x, q_val) in enumerate(events):
-        shifted = float(q_val) + shift
-        right = events[j + 1][0] if j + 1 < len(events) else max(x_max, x)
-        sups.append(shifted * math.exp(-x))
-        infs.append(shifted * math.exp(-right))
-
-    in_base = [j for j, (x, _) in enumerate(events) if x <= base_end]
-    c2 = max(sups[j] for j in in_base) * (1.0 + _ENVELOPE_PAD)
-    c1 = min(infs[j] for j in in_base) * (1.0 - _ENVELOPE_PAD)
-
-    for j, (x, _) in enumerate(events):
-        if not sups[j] < c2:
-            raise BoundViolationError(
-                f"upper envelope failed at x={x}: {sups[j]} >= c2={c2}"
-            )
-        if not infs[j] > c1:
-            raise BoundViolationError(
-                f"lower envelope failed on [{x}, next): {infs[j]} <= c1={c1}"
-            )
-    return BoundCertificate(c1, c2, base_end, x_max, len(events))
+    event_count = 0
+    for event_count, (x, sup, inf) in enumerate(chain(held, terms), 1):
+        if not sup < c2:
+            raise BoundViolationError(f"upper envelope failed at x={x}: {sup} >= c2={c2}")
+        if not inf > c1:
+            raise BoundViolationError(f"lower envelope failed on [{x}, next): {inf} <= c1={c1}")
+    return BoundCertificate(c1, c2, base_end, x_max, event_count)

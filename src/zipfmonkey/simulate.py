@@ -84,10 +84,6 @@ class RankFrequency:
     def __iter__(self) -> Iterator[tuple[int, float]]:
         return expand_runs(self.runs)
 
-    @property
-    def points(self) -> tuple[tuple[int, float], ...]:  # one tuple per rank
-        return tuple(self)
-
 
 def expand_runs(runs, r_min=-math.inf, r_max=math.inf) -> Iterator[tuple[int, float]]:
     """The (rank, freq) points of runs (rank_lo, rank_hi, freq) with r_min <=

@@ -4,8 +4,9 @@ Exhaustively enumerates every word up to a length cap, computes each
 probability directly, and sorts.  Rank queries, level tables, and
 probability-of-rank lookups all fall out of the sorted list by counting,
 with no lattice combinatorics involved, which is exactly why the module is
-useful: it checks the fast machinery from first principles.  Deliberately
-naive; desk-scale verification only.
+useful: it checks the fast machinery from first principles.  multinomial
+counts the words of one letter composition the same way, for the lattice
+walks.  Deliberately naive; desk-scale verification only.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .alphabet import Alphabet
-from .errors import ResourceGuardError
+from zipfmonkey.alphabet import Alphabet
+from zipfmonkey.errors import ResourceGuardError
 
 ENUMERATION_CAP = 10**6
 LOG_TOL = 1e-12  # absolute tolerance for log-probability comparisons
@@ -108,3 +110,19 @@ def oracle_p_of_rank(words: list[WordRecord], r: int) -> float:
     if r < 1 or r > len(words):
         raise ValueError(f"rank {r} outside the enumerated range [1, {len(words)}]")
     return words[r - 1].log_prob
+
+
+def multinomial(k: Sequence[int]) -> int:
+    """Exact count of distinct words with letter multiplicities k.
+
+    Computed as a product of binomials C(k_1+...+k_i, k_i), which keeps the
+    intermediates no larger than the result.
+    """
+    total = 0
+    out = 1
+    for ki in k:
+        if ki < 0:
+            raise ValueError(f"multiplicities must be nonnegative, got {ki}")
+        total += ki
+        out *= math.comb(total, ki)
+    return out

@@ -11,9 +11,9 @@ import time
 import pytest
 
 from conftest import make_random_alphabet
+from oracle import enumerate_all, oracle_levels, oracle_p_of_rank, oracle_rank_of_probability
 from zipfmonkey import (
     empirical_rank_freq,
-    enumerate_all,
     enumerate_levels,
     functional_equation_residual,
     generate_words,
@@ -21,7 +21,6 @@ from zipfmonkey import (
     make_gusein_zade,
     make_uniform,
     ols_loglog,
-    oracle_rank_of_probability,
     p_of_rank,
     predicted_exponent,
     q_tilde_direct,
@@ -31,7 +30,6 @@ from zipfmonkey import (
     solve_gamma,
     verify_bounds,
 )
-from zipfmonkey.oracle import oracle_levels, oracle_p_of_rank
 
 SIM_SEED = 20260808
 

@@ -176,24 +176,21 @@ class TestEstimateFromCorpus:
         assert abs(est.space_prob - 0.18) <= 3 * se0
 
 
-def reference_estimate(chunks, is_letter=None, fold_case=True, collapse_whitespace=True):
+def reference_estimate(text, fold_case=True, collapse_whitespace=True):
     """estimate_from_corpus as one pass over the characters, the spec it must equal."""
-    if is_letter is None:
-        is_letter = str.isalpha
     counts = {}
     spaces = 0
     in_run = False
-    for chunk in chunks:
-        for ch in chunk:
-            if ch.isspace():
-                if not collapse_whitespace or not in_run:
-                    spaces += 1
-                in_run = True
-            else:
-                in_run = False
-                if is_letter(ch):
-                    key = ch.lower() if fold_case else ch
-                    counts[key] = counts.get(key, 0) + 1
+    for ch in text:
+        if ch.isspace():
+            if not collapse_whitespace or not in_run:
+                spaces += 1
+            in_run = True
+        else:
+            in_run = False
+            if ch.isalpha():
+                key = ch.lower() if fold_case else ch
+                counts[key] = counts.get(key, 0) + 1
     total = spaces + sum(counts.values())
     if total == 0:
         raise ValueError("empty corpus: no letters or spaces after filtering")
@@ -211,10 +208,6 @@ def _outcome(estimate, *args, **kwargs):
     return al.letter_probs, al.space_prob, al.labels
 
 
-def _ascii_and_cjk(ch):
-    return ch.isascii() and ch.isalpha() or "\u4e00" <= ch <= "\u9fff"
-
-
 # letters whose lowercase differs from a one-letter case map (İ lowers to two
 # code points), punctuation, digits, CJK, and whitespace beyond ' \t\n'
 CORPUS_CHARS = st.sampled_from(
@@ -223,33 +216,22 @@ CORPUS_CHARS = st.sampled_from(
 )
 
 
-@st.composite
-def chunked_text(draw):
-    text = draw(st.text(CORPUS_CHARS, max_size=60))
-    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=6)))
-    bounds = [0, *cuts, len(text)]
-    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 class TestEstimateMatchesReference:
     @settings(max_examples=300)
     @given(
-        chunks=chunked_text(),
-        is_letter=st.sampled_from([None, str.isalnum, _ascii_and_cjk]),
+        text=st.text(CORPUS_CHARS, max_size=60),
         fold_case=st.booleans(),
         collapse_whitespace=st.booleans(),
     )
-    @example(["ab \t", "", "\n\u3000", " ba", "\x85"], None, True, True)
-    @example(["İß", "ẞ i"], None, True, True)
-    @example(["", "...", "", "12"], None, True, True)
-    @example([" \t", "", "\x1c"], None, True, False)
-    @example(["aaa", " A"], None, True, True)
-    def test_equals_per_character_count(self, chunks, is_letter, fold_case, collapse_whitespace):
-        flags = dict(is_letter=is_letter, fold_case=fold_case, collapse_whitespace=collapse_whitespace)
-        expected = _outcome(reference_estimate, chunks, **flags)
-        assert _outcome(estimate_from_corpus, chunks, **flags) == expected
-        assert _outcome(estimate_from_corpus, iter(chunks), **flags) == expected
-        assert _outcome(estimate_from_corpus, "".join(chunks), **flags) == expected
+    @example("ab \t\n\u3000 ba\x85", True, True)
+    @example("İßẞ i", True, True)
+    @example("...12", True, True)
+    @example(" \t\x1c", True, False)
+    @example("aaa A", True, True)
+    def test_equals_per_character_count(self, text, fold_case, collapse_whitespace):
+        flags = dict(fold_case=fold_case, collapse_whitespace=collapse_whitespace)
+        expected = _outcome(reference_estimate, text, **flags)
+        assert _outcome(estimate_from_corpus, text, **flags) == expected
 
 
 def assert_alphabets_close(a, b, rel=1e-13):

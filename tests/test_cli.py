@@ -133,6 +133,18 @@ class TestLevelsCommand:
         rows = tsv_rows(out)
         assert [(r[0], r[1]) for r in rows] == [("1", "2"), ("3", "6")]
 
+    def test_no_empty_word_counts_the_shifted_span(self, capsys, tmp_path):
+        # "", a, aa and aaa weigh within TIE_EPS of 0: one level of 4 words,
+        # of which 3 remain once the empty word is dropped
+        path = tmp_path / "tied.txt"
+        path.write_text("space 2e-10\na 0.9999999997\nb 1e-10\n")
+        code, out, _ = run(
+            capsys, "levels", "--alphabet", str(path), "--max-rank", "6", "--no-empty-word",
+        )
+        assert code == 0
+        rows = tsv_rows(out)
+        assert [(r[0], r[1], r[4]) for r in rows] == [("1", "3", "3"), ("4", "7", "4")]
+
     def test_counts_in_full_decimal(self, capsys):
         code, out, _ = run(
             capsys, "levels", "--uniform", "26", "--p0", str(1 / 27), "--max-rank", "100000"
@@ -289,9 +301,24 @@ class TestFitAndCompare:
     def test_rank_below_one_names_the_rule(self, capsys, tmp_path, window):
         path = tmp_path / "r0.tsv"
         path.write_text("0\t0.5\n1\t0.4\n2\t0.3\n3\t0.2\n")
-        code, out, err = run(capsys, "fit", "--in", str(path), "--kind", "ranks", *window)
-        assert (code, out) == (2, "")
-        assert err == "error: ranks start at 1, got rank 0\n"
+        for kind in ("ranks", "auto"):  # auto: a second column of floats is ranks
+            code, out, err = run(capsys, "fit", "--in", str(path), "--kind", kind, *window)
+            assert (code, out) == (2, "")
+            assert err == "error: ranks start at 1, got rank 0\n"
+
+    def test_auto_reads_numeric_words_as_words(self, capsys, tmp_path):
+        # integer counts make a word table, even with numeric words and every count 1
+        path = tmp_path / "numbers.tsv"
+        path.write_text("12\t1\n3\t1\n45\t1\n7\t1\n")
+        outs = [
+            run(capsys, "fit", "--in", str(path), "--kind", kind, "--window", "1", "4")
+            for kind in ("auto", "words")
+        ]
+        assert outs[0] == outs[1]
+        code, out, _ = outs[0]
+        assert code == 0
+        assert kv(out)["n_points"] == "4"
+        assert float(kv(out)["slope"]) == 0.0
 
     def test_window_below_rank_one_is_rejected(self, capsys, tmp_path):
         path = tmp_path / "words.tsv"

@@ -87,8 +87,8 @@ class TestLevelTableFit:
     def test_level_points_shape(self):
         table = enumerate_levels(make_uniform(2, 1 / 3), max_rank=7)
         rf = rank_freq_from_levels(table)
-        assert [r for r, _f in rf.points] == [1, 2, 4]
-        assert [f for _r, f in rf.points] == pytest.approx([1 / 3, 1 / 9, 1 / 27])
+        assert [r for r, _f in rf] == [1, 2, 4]
+        assert [f for _r, f in rf] == pytest.approx([1 / 3, 1 / 9, 1 / 27])
 
 
 class TestPredictedExponent:

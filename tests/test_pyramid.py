@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_alphabet
+from oracle import multinomial
 from zipfmonkey import (
     enumerate_levels,
     functional_equation_residual,
@@ -21,7 +22,6 @@ from zipfmonkey import (
     make_explicit,
     make_gusein_zade,
     make_uniform,
-    multinomial,
     p_of_rank,
     pyramid,
     q_tilde_direct,

@@ -283,15 +283,15 @@ class TestFrequencyTable:
 class TestEmpiricalRankFreq:
     def test_single_word(self):
         rf = empirical_rank_freq(FrequencyTable({"\x01": 5}, 5))
-        assert rf.points == ((1, 1.0),)
+        assert tuple(rf) == ((1, 1.0),)
 
     def test_two_words(self):
         rf = empirical_rank_freq(FrequencyTable({"\x01": 3, "\x02": 1}, 4))
-        assert rf.points == ((1, 0.75), (2, 0.25))
+        assert tuple(rf) == ((1, 0.75), (2, 0.25))
 
     def test_tie_break_lexicographic(self):
         rf = empirical_rank_freq(FrequencyTable({"\x02": 2, "\x01": 2, "": 2}, 6))
-        assert [f for _r, f in rf.points] == [pytest.approx(1 / 3)] * 3
+        assert [f for _r, f in rf] == [pytest.approx(1 / 3)] * 3
         # ranks follow word order: "", "\x01", "\x02"
 
     def test_empty_table_rejected(self):
@@ -301,9 +301,9 @@ class TestEmpiricalRankFreq:
     def test_bare_counts(self):
         # any iterable of counts, one per distinct word, in any order
         expected = ((1, 0.375), (2, 0.25), (3, 0.25), (4, 0.125))
-        assert empirical_rank_freq([1, 3, 2, 2]).points == expected
-        assert empirical_rank_freq(iter((2, 1, 2, 3))).points == expected
-        assert empirical_rank_freq({"a": 2, "b": 6}.values()).points == ((1, 0.75), (2, 0.25))
+        assert tuple(empirical_rank_freq([1, 3, 2, 2])) == expected
+        assert tuple(empirical_rank_freq(iter((2, 1, 2, 3)))) == expected
+        assert tuple(empirical_rank_freq({"a": 2, "b": 6}.values())) == ((1, 0.75), (2, 0.25))
         with pytest.raises(ValueError, match="empty"):
             empirical_rank_freq([])
 
@@ -319,7 +319,7 @@ class TestEmpiricalRankFreq:
         table = generate_words(al, 300_000, seed=99)
         rf = empirical_rank_freq(table)
         levels = enumerate_levels(al, max_rank=13)  # empty, 3 singles, 9 pairs
-        freqs = dict(rf.points)
+        freqs = dict(rf)
         for lv in levels:
             p = math.exp(lv.log_prob)
             se = math.sqrt(p * (1 - p) / 300_000)
@@ -330,11 +330,11 @@ class TestEmpiricalRankFreq:
 class TestRankFrequencyInvariants:
     def test_accepts_valid(self):
         rf = RankFrequency(((1, 2, 0.5), (3, 3, 0.1)))
-        assert rf.points == ((1, 0.5), (2, 0.5), (3, 0.1))
+        assert tuple(rf) == ((1, 0.5), (2, 0.5), (3, 0.1))
 
     def test_accepts_gaps_between_runs(self):
         rf = RankFrequency(((1, 1, 0.5), (4, 5, 0.1), (9, 9, 0.1)))
-        assert rf.points == ((1, 0.5), (4, 0.1), (5, 0.1), (9, 0.1))
+        assert tuple(rf) == ((1, 0.5), (4, 0.1), (5, 0.1), (9, 0.1))
 
     def test_rejects_nonincreasing_ranks(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -407,6 +407,6 @@ class TestRunsMatchPerWordPoints:
     def test_simulated_table(self, skewed_table):
         counts = list(skewed_table.entries.values())
         rf = empirical_rank_freq(skewed_table)
-        assert rf.points == per_word_points(counts)
+        assert tuple(rf) == per_word_points(counts)
         assert len(rf.runs) == len(set(counts)) < len(counts) // 10
         assert ols_loglog(rf, 10, 300) == ols_loglog(per_word_points(counts), 10, 300)

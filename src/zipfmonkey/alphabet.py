@@ -206,6 +206,17 @@ def estimate_from_corpus(
 # emitted by the CLI.
 
 
+def _check_labels(labels: list[str]) -> list[str]:
+    """Refuse file labels that break a word table or the text format: a word
+    is written as its labels run together, so they must be prefix-free."""
+    ordered = sorted(labels)  # a label's extensions sort right after it
+    for prev, label in zip(["#", *ordered], ordered):  # no valid label starts with '#'
+        if not re.fullmatch(r"[^#\s]\S*", label) or label == "space" or label.startswith(prev):
+            raise ValueError(f"bad letter label {label!r}: labels must be nonempty, without "
+                             "whitespace or a leading '#', not 'space', nor start another label")
+    return labels
+
+
 def to_text(alphabet: Alphabet) -> str:
     lines = ["# format: v1 alphabet", f"space {alphabet.space_prob!r}"]
     lines += [
@@ -239,7 +250,7 @@ def from_text(text: str) -> Alphabet:
             probs.append(value)
     if p0 is None:
         raise ValueError("missing 'space <p0>' line")
-    return make_explicit(probs, p0, labels)
+    return make_explicit(probs, p0, _check_labels(labels))
 
 
 def to_json(alphabet: Alphabet) -> str:
@@ -258,7 +269,7 @@ def from_json(text: str) -> Alphabet:
         probs, p0 = [float(p) for p in letters.values()], float(doc["space"])
     except (TypeError, KeyError, AttributeError, RecursionError):
         raise ValueError('expected {"space": p0, "letters": {label: prob, ...}}') from None
-    return make_explicit(probs, p0, list(letters.keys()))
+    return make_explicit(probs, p0, _check_labels(list(letters)))
 
 
 def loads(text: str) -> Alphabet:

@@ -24,7 +24,6 @@ from . import pyramid, simulate
 from .errors import BoundViolationError, ResourceGuardError
 from .gamma import log_weights, rescale_weights, solve_gamma
 
-EPS_TOKEN = "<EPS>"
 _WRITE_BLOCK = 8192  # output lines joined per write
 
 EXIT_OK = 0
@@ -194,11 +193,20 @@ def _cmd_simulate(args) -> Output:
         f"# n_words={table.total_words} seed={seed}",
         "# columns: word\tcount",
     ]
-    rows = simulate.word_rows(table, al.labels, EPS_TOKEN)
+    rows = simulate.word_rows(table, al.labels)
     return EXIT_OK, chain(header, (f"{w}\t{c}" for w, c in rows))
 
 
-def _read_tsv_rows(path: str) -> list[tuple[str, str]]:
+def _rank_row(row: tuple[str, str]) -> tuple[int, float]:
+    try:
+        return int(row[0]), float(row[1])
+    except ValueError:
+        raise ValueError(f"row {row[0]!r} {row[1]!r} is not rank<TAB>freq, which a table is "
+                         "read as unless every second column is an integer") from None
+
+
+def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
+    """word<TAB>count rows when every second column is an integer, else rank<TAB>freq."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -211,28 +219,19 @@ def _read_tsv_rows(path: str) -> list[tuple[str, str]]:
             if len(parts) != 2:
                 raise ValueError(f"expected 2 columns, got {raw!r}")
             rows.append((parts[0], parts[1]))
-    return rows
-
-
-def _rank_freq_from_file(path: str, kind: str) -> simulate.RankFrequency:
-    rows = _read_tsv_rows(path)
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    if kind != "ranks":  # auto: words when every second column is an int, else ranks
-        try:
-            counts = {w: int(c) for w, c in rows}  # a repeated word: the last row wins
-        except ValueError:
-            if kind == "words":
-                raise
-        else:
-            del rows  # not held while the counts are ranked
-            return simulate.empirical_rank_freq(counts.values())
-    pts = sorted((int(a), float(b)) for a, b in rows)  # one run per rank: gaps allowed
-    return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
+    try:
+        counts = {w: int(c) for w, c in rows}  # a repeated word: the last row wins
+    except ValueError:
+        pts = sorted(map(_rank_row, rows))  # one run per rank: gaps allowed
+        return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
+    del rows  # not held while the counts are ranked
+    return simulate.empirical_rank_freq(counts.values())
 
 
 def _fit_from_args(args) -> tuple[fit_mod.FitResult, simulate.RankFrequency]:
-    points = _rank_freq_from_file(args.infile, args.kind)
+    points = _rank_freq_from_file(args.infile)
     r_min, r_max = args.window if args.window else (fit_mod.DEFAULT_R_MIN, None)
     return fit_mod.ols_loglog(points, r_min, r_max), points
 
@@ -319,10 +318,6 @@ def build_parser() -> _Parser:
     out.add_argument("--out", metavar="FILE", help="write the output here, not to stdout")
     table = _Parser(add_help=False)  # the rank-frequency table read by fit and compare
     table.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    table.add_argument(
-        "--kind", choices=("auto", "ranks", "words"), default="auto",
-        help="input columns: rank/freq or word/count",
-    )
     table.add_argument("--window", type=int, nargs=2, metavar=("R_MIN", "R_MAX"))
 
     p = sub.add_parser("gamma", parents=[out], help="solve the exponent equation sum(p_i**g) = 1")

@@ -11,14 +11,14 @@ is evaluated here three independent ways: by a walk over the admissible
 lattice region (q_tilde_direct, which answers rank_of_probability), by
 memoized recursion on the functional equation
 Q(x) = Q(x - L_1) + ... + Q(x - L_n) + step(x) (q_tilde_recursive, the
-cross-check), and by one best-first level generator behind enumerate_levels
-and weight_events.  Both walks group letters of exactly equal weight: g
-letters in k slots make g**k words.  The direct walk sums its two
-lightest groups in one loop, the lightest in closed form.  The generator
-walks multisets of groups as nondecreasing group sequences with two
-successors per node (append the last group, or bump it to the next), the
-sorted-sums frontier of Frederickson and Johnson, so its heap holds at
-most one node per pop.
+cross-check), and by one best-first generator of its jumps, one per level,
+behind enumerate_levels, weight_events and verify_bounds.  Both walks
+group letters of exactly equal weight: g letters in k slots make g**k
+words.  The direct walk sums its two lightest groups in one loop, the
+lightest in closed form.  The generator walks multisets of groups as
+nondecreasing group sequences with two successors per node (append the
+last group, or bump it to the next), the sorted-sums frontier of
+Frederickson and Johnson, so its heap holds at most one node per pop.
 
 All weight comparisons run in exact integer arithmetic.  Every float is a
 dyadic rational, so the weights and TIE_EPS over their largest power-of-two
@@ -302,7 +302,7 @@ def rank_of_probability(
 def _iter_levels(
     weights: WeightVector, x: float | None, budget: int
 ) -> Iterator[tuple[float, int]]:
-    """Yield (weight, word_count) per level of the word list, by weight.
+    """Yield the jumps (weight, Q(weight)) of the counting function, level by level.
 
     A level is complete when yielded: it opens at a lattice point of weight
     w0 and closes at the first popped point heavier than w0 + TIE_EPS.  With
@@ -326,15 +326,15 @@ def _iter_levels(
     last = len(w) - 1
     reach = math.inf if T is None else T + tie  # the last level's own tie
     heap = [(0, 1, 0, 0, 0, 1)]
-    popped = start = count = 0
+    popped = start = q = 0
     while heap:
         wt, words, j, m, length, points = heapq.heappop(heap)
         if wt - start > tie:
-            yield start / denom, count
+            yield start / denom, q
             if T is not None and wt > T:
                 return
-            start, count = wt, 0
-        count += words
+            start = wt
+        q += words
         popped += points
         if popped > budget:
             raise _over_budget(budget, wt / denom)
@@ -349,7 +349,7 @@ def _iter_levels(
                 gk = g[j + 1]
                 heapq.heappush(heap, (child, words * m // gj * gk, j + 1, 1, length,
                                       points * m // (m + gj - 1) * gk))
-    yield start / denom, count
+    yield start / denom, q
 
 
 def enumerate_levels(
@@ -380,12 +380,12 @@ def enumerate_levels(
     log_p0 = math.log(p0)
 
     levels: list[Level] = []
-    rank = 1
+    q_prev = 0  # the ranks of a level run from the previous jump's Q + 1 to its own
     try:
-        for weight, count in _iter_levels(log_weights(alphabet), max_weight, node_budget):
-            levels.append(Level(weight, count, rank, rank + count - 1, log_p0 - weight))
-            rank += count
-            if max_rank is not None and rank > max_rank:
+        for weight, q in _iter_levels(log_weights(alphabet), max_weight, node_budget):
+            levels.append(Level(weight, q - q_prev, q_prev + 1, q, log_p0 - weight))
+            q_prev = q
+            if max_rank is not None and q >= max_rank:
                 break
     except ResourceGuardError:
         return LevelTable(tuple(levels), True)  # the partial level was never yielded
@@ -404,14 +404,6 @@ def p_of_rank(levels: LevelTable | Sequence[Level], r: int) -> float:
 # --- envelope certificate ----------------------------------------------------
 
 
-def _jumps(weights: WeightVector, x_max: float, budget: int) -> Iterator[tuple[float, int]]:
-    """(x, Q(x)) per level up to x_max, ascending, as the walk yields them."""
-    q = 0
-    for x, count in _iter_levels(weights, x_max, budget):
-        q += count
-        yield x, q
-
-
 def weight_events(
     weights: WeightVector,
     x_max: float,
@@ -424,7 +416,7 @@ def weight_events(
     TIE_EPS are one level, as in enumerate_levels, and levels are counted
     up to x_max + TIE_EPS.  So each Q(x) equals q_tilde_direct at its x.
     """
-    return [] if x_max < 0 else list(_jumps(weights, x_max, node_budget))
+    return [] if x_max < 0 else list(_iter_levels(weights, x_max, node_budget))
 
 
 # Relative padding applied to the exact base extrema so the strict
@@ -468,7 +460,7 @@ def verify_bounds(
     shift = 1.0 / (n - 1)
     # (x, sup, inf) per event interval [x, next), next being x_max after the
     # last event; the jumps are read in pairs from the walk, not held
-    jumps = chain(_jumps(weights, x_max, node_budget), [(x_max, 0)])
+    jumps = chain(_iter_levels(weights, x_max, node_budget), [(x_max, 0)])
     terms = (
         (x, (q + shift) * math.exp(-x), (q + shift) * math.exp(-max(nxt, x)))
         for (x, q), (nxt, _q) in pairwise(jumps)

@@ -1,5 +1,6 @@
 """Alphabet constructors, invariants, estimation, serialization."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -280,6 +281,61 @@ class TestSerialization:
     def test_malformed_json_is_a_value_error(self, doc):
         with pytest.raises(ValueError):
             am.from_json(doc)
+
+
+class TestLabelRule:
+    """File labels must be prefix-free, nonempty, without whitespace, not
+    start with '#' and not be 'space': others corrupt the word table or the
+    text format."""
+
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [
+            (["a", "ab", "b"], "ab"),  # "a"+"b" and "ab" render alike
+            (["ba", "b", "c"], "ba"),
+            (["a", "#", "b"], "#"),  # a row starting '#' is a comment
+            (["a", "#x", "b"], "#x"),
+            (["a", "", "b"], ""),
+            (["a", "b c", "d"], "b c"),
+            (["a", " b", "c"], " b"),
+            (["a", "b\t", "c"], "b\t"),
+            (["a", "b\u3000", "c"], "b\u3000"),
+            (["a", "space", "b"], "space"),  # the text format's space line
+        ],
+    )
+    def test_json_label_rejected(self, labels, bad):
+        doc = json.dumps({"space": 0.25, "letters": {label: 0.25 for label in labels}})
+        with pytest.raises(ValueError) as exc:
+            am.loads(doc)
+        assert str(exc.value) == (
+            f"bad letter label {bad!r}: labels must be nonempty, without whitespace or "
+            "a leading '#', not 'space', nor start another label"
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["space 0.2\na 0.4\nab 0.4\n", "space 0.2\nab 0.4\na 0.4\n"]
+    )
+    def test_text_prefix_rejected(self, text):
+        with pytest.raises(ValueError, match="bad letter label 'ab'"):
+            am.from_text(text)
+
+    def test_text_duplicate_rejected(self):
+        with pytest.raises(ValueError, match="bad letter label 'a'"):
+            am.from_text("space 0.2\na 0.4\na 0.4\n")
+
+    def test_valid_labels_round_trip(self):
+        al = make_explicit((0.3, 0.25, 0.2, 0.05), 0.2, labels=("th", "e", "中", "sp"))
+        assert_alphabets_close(al, am.from_text(am.to_text(al)))
+        assert_alphabets_close(al, am.from_json(am.to_json(al)))
+
+    def test_generated_labels_are_not_checked(self, monkeypatch):
+        def refuse(labels):
+            raise AssertionError("checked generated labels")
+
+        monkeypatch.setattr(am, "_check_labels", refuse)
+        make_gusein_zade(30, 0.2)
+        make_uniform(30, 0.2)
+        estimate_from_corpus("İ i ab ba")  # 'i' and the two-code-point 'i̇' are both labels
 
 
 class TestInvariants:

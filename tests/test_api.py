@@ -1,8 +1,10 @@
-"""The package's public names: a change to them is deliberate and recorded."""
+"""The package's public names and each command's options: a change to them is deliberate."""
 
+import argparse
 import importlib.util
 
 import zipfmonkey
+from zipfmonkey.cli import build_parser
 
 PUBLIC_NAMES = [
     "Alphabet",
@@ -41,8 +43,36 @@ PUBLIC_NAMES = [
 ]
 
 
+# each subcommand's options: a new knob is a deliberate, reviewed change
+ALPHABET = ["--alphabet", "--corpus", "--gusein-zade", "--p0", "--uniform"]
+COMMAND_OPTIONS = {
+    "certify": sorted(["--help", "--out", "--x-max", "-h", *ALPHABET]),
+    "compare": sorted(["--help", "--in", "--out", "--window", "-h", *ALPHABET]),
+    "fit": ["--help", "--in", "--out", "--plot-data", "--window", "-h"],
+    "gamma": sorted(["--help", "--out", "--tol", "-h", *ALPHABET]),
+    "ingest": ["--alphabet-out", "--corpus", "--help", "--keep-case", "--out", "-h"],
+    "levels": sorted(
+        ["--help", "--max-rank", "--max-weight", "--no-empty-word", "--out", "-h", *ALPHABET]
+    ),
+    "qfun": sorted(["--help", "--out", "--x-max", "-h", *ALPHABET]),
+    "simulate": sorted(
+        ["--help", "--n-words", "--out", "--seed", "--skip-empty", "-h", *ALPHABET]
+    ),
+}
+
+
 def test_public_names_are_pinned():
     assert sorted(zipfmonkey.__all__) == PUBLIC_NAMES
+
+
+def test_command_options_are_pinned():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(opt for action in sub._actions for opt in action.option_strings)
+        for name, sub in commands.choices.items()
+    }
+    assert options == COMMAND_OPTIONS
 
 
 def test_every_public_name_resolves():

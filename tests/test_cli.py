@@ -249,6 +249,17 @@ class TestSimulateCommand:
         assert code == 1
         assert "seed" in err
 
+    @pytest.mark.parametrize("bad", ["ab", "#"])
+    def test_label_that_corrupts_rows_exits_2(self, capsys, tmp_path, bad):
+        # "a"+"b" would render like "ab", and a row starting '#' reads as a comment
+        path = tmp_path / "alpha.json"
+        path.write_text(f'{{"space": 0.25, "letters": {{"a": 0.25, "{bad}": 0.25, "b": 0.25}}}}')
+        code, out, err = run(
+            capsys, "simulate", "--alphabet", str(path), "--n-words", "100", "--seed", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad letter label {bad!r}: labels must be nonempty")
+
 
 class TestFitAndCompare:
     def test_fit_exact_line(self, capsys, tmp_path):
@@ -301,21 +312,33 @@ class TestFitAndCompare:
     def test_rank_below_one_names_the_rule(self, capsys, tmp_path, window):
         path = tmp_path / "r0.tsv"
         path.write_text("0\t0.5\n1\t0.4\n2\t0.3\n3\t0.2\n")
-        for kind in ("ranks", "auto"):  # auto: a second column of floats is ranks
-            code, out, err = run(capsys, "fit", "--in", str(path), "--kind", kind, *window)
-            assert (code, out) == (2, "")
-            assert err == "error: ranks start at 1, got rank 0\n"
+        code, out, err = run(capsys, "fit", "--in", str(path), *window)  # floats: ranks
+        assert (code, out) == (2, "")
+        assert err == "error: ranks start at 1, got rank 0\n"
+
+    def test_row_of_neither_kind_names_the_rule(self, capsys, tmp_path):
+        path = tmp_path / "neither.tsv"
+        path.write_text("w1\t0.5\nw2\t0.25\nw3\t0.1\n")
+        code, out, err = run(capsys, "fit", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: row 'w1' '0.5' is not rank<TAB>freq, which a table is read as "
+            "unless every second column is an integer\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["auto", "ranks", "words"])
+    def test_kind_option_is_gone(self, capsys, tmp_path, kind):
+        path = tmp_path / "ranks.tsv"
+        path.write_text("".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)))
+        code, out, err = run(capsys, "fit", "--in", str(path), "--kind", kind)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: unrecognized arguments: --kind {kind}\n"
 
     def test_auto_reads_numeric_words_as_words(self, capsys, tmp_path):
         # integer counts make a word table, even with numeric words and every count 1
         path = tmp_path / "numbers.tsv"
         path.write_text("12\t1\n3\t1\n45\t1\n7\t1\n")
-        outs = [
-            run(capsys, "fit", "--in", str(path), "--kind", kind, "--window", "1", "4")
-            for kind in ("auto", "words")
-        ]
-        assert outs[0] == outs[1]
-        code, out, _ = outs[0]
+        code, out, _ = run(capsys, "fit", "--in", str(path), "--window", "1", "4")
         assert code == 0
         assert kv(out)["n_points"] == "4"
         assert float(kv(out)["slope"]) == 0.0
@@ -361,7 +384,7 @@ class TestFitAndCompare:
         dup.write_text("w1\t7\nw5\t900\n" + "".join(rows))  # later rows override
         outs = []
         for path in (clean, dup):
-            argv = [command, "--in", str(path), "--kind", "words"]
+            argv = [command, "--in", str(path)]
             if command == "compare":
                 argv += ["--gusein-zade", "4", "--p0", "0.2"]
             code, out, _ = run(capsys, *argv)
@@ -374,7 +397,7 @@ class TestFitAndCompare:
     def test_word_count_not_positive_exits_2(self, capsys, tmp_path, command, bad):
         path = tmp_path / "words.tsv"
         path.write_text("".join(f"w{i}\t{100 // i}\n" for i in range(1, 31)) + f"z\t{bad}\n")
-        argv = [command, "--in", str(path), "--kind", "words"]
+        argv = [command, "--in", str(path)]
         if command == "compare":
             argv += ["--gusein-zade", "4", "--p0", "0.2"]
         code, _, err = run(capsys, *argv)
@@ -720,7 +743,7 @@ class TestCurveOutputsPinned:
         counts = sorted((int(c) for _w, c in tsv_rows(words.read_text())), reverse=True)
         ranks = tmp_path / "ranks.tsv"
         ranks.write_text("".join(f"{i + 1}\t{c / 20000!r}\n" for i, c in enumerate(counts)))
-        code, out, _ = run(capsys, "fit", "--in", str(ranks), "--kind", "ranks")
+        code, out, _ = run(capsys, "fit", "--in", str(ranks))
         assert code == 0
         assert sha(out) == "38ecce621ac7d457a37e240f991c1e41a9a092694abfaca2435ab8073ec29e54"
 
@@ -823,8 +846,8 @@ COMMAND_OPTIONS = {
         "--seed": ["7"],
         "--skip-empty": None,
     },
-    "fit": {"--in": "tsv", "--kind": ["auto", "ranks", "words"], "--window": "window"},
-    "compare": {"--in": "tsv", "--kind": ["auto", "ranks", "words"], "--window": "window"},
+    "fit": {"--in": "tsv", "--window": "window"},
+    "compare": {"--in": "tsv", "--window": "window"},
     "ingest": {"--corpus": "corpus", "--keep-case": None, "--alphabet-out": "out"},
 }
 # kind -> file name -> content; names starting "ok" are well formed
@@ -842,6 +865,8 @@ CONTRACT_FILES = {
         "letters_number.json": '{"letters": 5, "space": 0.1}',
         "null_prob.json": '{"letters": {"a": null, "b": 0.4}, "space": 0.2}',
         "deep.json": '{"a":' * 100_000,
+        "prefix.json": '{"letters": {"a": 0.3, "ab": 0.2, "b": 0.3}, "space": 0.2}',
+        "hash.json": '{"letters": {"a": 0.3, "#": 0.2, "b": 0.3}, "space": 0.2}',
         "ok.json": '{"letters": {"a": 0.5, "b": 0.3}, "space": 0.2}',
     },
     "corpus": {
@@ -856,6 +881,7 @@ CONTRACT_FILES = {
         "comment.tsv": "# nothing but a comment\n",
         "three_columns.tsv": "a\tb\tc\n",
         "nan.tsv": "1\tnan\n2\tinf\n3\t-0.5\n",
+        "neither.tsv": "w1\t0.5\nw2\t0.25\nw3\t0.1\n",
         "zero_counts.tsv": "x\t0\ny\t0\n",
         "negative_counts.tsv": "x\t-3\ny\t3\nz\t1\n",
         "ok_ranks.tsv": "".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)),

@@ -352,12 +352,14 @@ class TestFinerThreshold:
         assert q_tilde_direct(wv, x) == direct
         assert q_tilde_recursive(wv, x) == _memo_sum(fine, T0, budget) == direct
         assert functional_equation_residual(wv, x) == 0
-        levels = list(_iter_levels(SimpleNamespace(grid=fine), x, budget))
-        counts = list(itertools.accumulate(c for _w, c in levels))
-        assert weight_events(wv, x) == [(w, q) for (w, _c), q in zip(levels, counts)]
+        jumps = list(_iter_levels(SimpleNamespace(grid=fine), x, budget))
+        assert weight_events(wv, x) == jumps
         table = enumerate_levels(al, max_weight=x)
         assert not table.truncated
-        assert [(lv.weight, lv.word_count) for lv in table] == levels
+        assert [(lv.weight, lv.rank_hi) for lv in table] == jumps
+        assert [lv.word_count for lv in table] == [
+            q - q_prev for (_x, q_prev), (_w, q) in itertools.pairwise([(None, 0), *jumps])
+        ]
 
 
 class TestWeightCache:

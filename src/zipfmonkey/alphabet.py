@@ -22,8 +22,18 @@ from typing import Iterable
 
 NORMALIZATION_TOL = 1e-12
 
+EMPTY_WORD = "<EPS>"  # how a word table renders the empty word
+
 # \s matches exactly the characters for which str.isspace() holds
 _WHITESPACE_RUN = re.compile(r"\s+")
+
+
+def _check_size(n: int, p0: float) -> None:
+    """The rules on the letter count and p0, checkable before a letter is built."""
+    if n < 2:
+        raise ValueError(f"alphabet needs at least 2 letters, got {n}")
+    if not 0.0 <= p0 < 1.0:
+        raise ValueError(f"space probability must be in [0, 1), got {p0}")
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -50,10 +60,7 @@ class Alphabet:
     def __post_init__(self):
         probs = tuple(float(p) for p in self.letter_probs)
         object.__setattr__(self, "letter_probs", probs)
-        if len(probs) < 2:
-            raise ValueError(f"alphabet needs at least 2 letters, got {len(probs)}")
-        if not 0.0 <= self.space_prob < 1.0:
-            raise ValueError(f"space probability must be in [0, 1), got {self.space_prob}")
+        _check_size(len(probs), self.space_prob)
         for p in probs:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"letter probability out of (0, 1): {p}")
@@ -98,24 +105,15 @@ def make_explicit(
     1 within 1e-12, and renormalizes exactly by dividing through by the total.
     """
     probs = [float(p) for p in probs]
-    if len(probs) < 2:
-        raise ValueError(f"alphabet needs at least 2 letters, got {len(probs)}")
-    for p in probs:
-        if p <= 0.0:
-            raise ValueError(f"letter probability must be positive, got {p}")
-    if not 0.0 <= p0 < 1.0:
-        raise ValueError(f"space probability must be in [0, 1), got {p0}")
+    _check_size(len(probs), p0)
     total = math.fsum(probs) + p0
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(
             f"probabilities sum to {total}, off by {total - 1.0} (tolerance {NORMALIZATION_TOL})"
         )
-    if labels is None:
-        labels = default_labels(len(probs))
-    else:
-        labels = tuple(labels)
-        if len(labels) != len(probs):
-            raise ValueError("labels must parallel probs")
+    labels = default_labels(len(probs)) if labels is None else tuple(labels)
+    if len(labels) != len(probs):
+        raise ValueError("labels must parallel probs")
     order = sorted(range(len(probs)), key=lambda i: (-probs[i], labels[i]))
     return Alphabet(
         tuple(probs[i] / total for i in order),
@@ -126,10 +124,7 @@ def make_explicit(
 
 def make_uniform(n: int, p0: float) -> Alphabet:
     """Alphabet with n equally likely letters and space probability p0."""
-    if n < 2:
-        raise ValueError(f"alphabet needs at least 2 letters, got {n}")
-    if not 0.0 <= p0 < 1.0:
-        raise ValueError(f"space probability must be in [0, 1), got {p0}")
+    _check_size(n, p0)
     p = (1.0 - p0) / n
     return Alphabet((p,) * n, p0)
 
@@ -143,10 +138,7 @@ def make_gusein_zade(n: int, p0: float) -> Alphabet:
     p_i = (1 - p0) * (H(n) - H(i-1)) / n.  This closed form is the standard
     order-statistics reconstruction of the law; see README for discussion.
     """
-    if n < 2:
-        raise ValueError(f"alphabet needs at least 2 letters, got {n}")
-    if not 0.0 <= p0 < 1.0:
-        raise ValueError(f"space probability must be in [0, 1), got {p0}")
+    _check_size(n, p0)
     # H(n) - H(i-1) as the correctly rounded sum of the floats 1/i, ..., 1/n:
     # on one power-of-two denominator the suffix sums are exact integers,
     # and integer true division rounds once, as fsum would.  Two generator
@@ -175,13 +167,14 @@ def estimate_from_corpus(
     The text is counted per character by one Counter and its whitespace runs
     by one regex scan; each distinct character is then classified once, so
     the letter test and case folding run per distinct character, not per
-    occurrence.
+    occurrence.  Folding keeps U+0130, the one letter whose lower case is two
+    code points, so each label is one code point and the set is prefix-free.
     """
     chars = Counter(text)
     counts: Counter[str] = Counter()
     for ch, c in chars.items():
         if ch.isalpha():
-            counts[ch.lower() if fold_case else ch] += c
+            counts[ch.lower() if fold_case and len(ch.lower()) == 1 else ch] += c
     if collapse_whitespace:
         spaces = len(_WHITESPACE_RUN.findall(text))
     else:
@@ -208,12 +201,18 @@ def estimate_from_corpus(
 
 def _check_labels(labels: list[str]) -> list[str]:
     """Refuse file labels that break a word table or the text format: a word
-    is written as its labels run together, so they must be prefix-free."""
+    is written as its labels run together, so they must be prefix-free and
+    must not spell EMPTY_WORD."""
     ordered = sorted(labels)  # a label's extensions sort right after it
     for prev, label in zip(["#", *ordered], ordered):  # no valid label starts with '#'
         if not re.fullmatch(r"[^#\s]\S*", label) or label == "space" or label.startswith(prev):
             raise ValueError(f"bad letter label {label!r}: labels must be nonempty, without "
                              "whitespace or a leading '#', not 'space', nor start another label")
+    # prefix-free, so at most one label matches where the last one ended
+    spelling = re.findall("|".join(re.escape(x) for x in labels if x in EMPTY_WORD), EMPTY_WORD)
+    if "".join(spelling) == EMPTY_WORD:
+        raise ValueError(f"bad letter labels: {' + '.join(map(repr, spelling))} spells "
+                         f"{EMPTY_WORD!r}, which a word table writes for the empty word")
     return labels
 
 

@@ -73,6 +73,8 @@ def _add_alphabet_options(parser: _Parser) -> None:
 
 
 def _resolve_alphabet(args) -> alphabet_mod.Alphabet:
+    if args.p0 is not None and args.uniform is None and args.gusein_zade is None:
+        raise UsageError("--p0 goes only with --uniform/--gusein-zade; a file sets its own p0")
     if args.alphabet is not None:
         with open(args.alphabet, encoding="utf-8") as fh:
             return alphabet_mod.loads(fh.read())
@@ -109,7 +111,7 @@ Output = tuple[int, Iterable[str]]
 
 def _cmd_gamma(args) -> Output:
     al = _resolve_alphabet(args)
-    sol = solve_gamma(al, tol=args.tol)
+    sol = solve_gamma(al)
     lines = [
         "# format: v1 gamma",
         f"# alphabet: n={al.n}, p0={al.space_prob!r}",
@@ -322,7 +324,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gamma", parents=[out], help="solve the exponent equation sum(p_i**g) = 1")
     _add_alphabet_options(p)
-    p.add_argument("--tol", type=float, default=1e-14, help="bisection bracket width")
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("levels", parents=[out], help="exact probability classes with rank spans")

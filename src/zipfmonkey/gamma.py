@@ -18,6 +18,7 @@ from functools import cached_property
 from .alphabet import Alphabet
 
 RESIDUAL_TOL = 1e-12
+BRACKET_TOL = 1e-14  # bisection stops once the bracket is this narrow: 47 halvings
 
 
 @dataclass(frozen=True)
@@ -77,23 +78,20 @@ def power_sum(alphabet: Alphabet, g: float) -> float:
     return math.fsum(p**g for p in alphabet.letter_probs)
 
 
-def solve_gamma(alphabet: Alphabet, tol: float = 1e-14) -> GammaSolution:
+def solve_gamma(alphabet: Alphabet) -> GammaSolution:
     """Solve sum(p_i ** gamma) = 1 by bisection on (0, 1].
 
     With p0 = 0 the letter probabilities already sum to 1 and gamma is 1
-    exactly.  Otherwise the bracket [0, 1] is narrowed to width <= tol and
+    exactly.  Otherwise the bracket [0, 1] is halved to width <= BRACKET_TOL
+    (each midpoint exact, the bracket far wider than adjacent floats) and
     the midpoint returned, with the residual reported for auditing.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if alphabet.space_prob == 0.0:
         return GammaSolution(1.0, power_sum(alphabet, 1.0) - 1.0, 0)
     lo, hi = 0.0, 1.0
     iterations = 0
-    while hi - lo > tol:
+    while hi - lo > BRACKET_TOL:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: a tol below their spacing is unreachable
-            break
         if power_sum(alphabet, mid) > 1.0:
             lo = mid
         else:

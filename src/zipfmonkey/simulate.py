@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
-from .alphabet import Alphabet
+from .alphabet import EMPTY_WORD, Alphabet
 from .errors import ResourceGuardError
 
 Word = str  # letter i is chr(i + 1)
@@ -92,10 +92,10 @@ def expand_runs(runs, r_min=-math.inf, r_max=math.inf) -> Iterator[tuple[int, fl
 
 
 def _generate_stream(
-    alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int, counts: Counter
-) -> None:
-    """Draw count words and add them to counts, about _BLOCK_CODES code points
-    at a time: a word is 1/p0 code points on average (its letters and a
+    alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int
+) -> Counter[Word]:
+    """Draw count words and count them, about _BLOCK_CODES code points at a
+    time: a word is 1/p0 code points on average (its letters and a
     separator), so a block is _BLOCK_CODES * p0 words whatever p0 is."""
     import numpy as np
 
@@ -109,11 +109,13 @@ def _generate_stream(
         )
     letter_probs = np.asarray(alphabet.letter_probs) / (1.0 - p0)
     block_words = max(1, int(_BLOCK_CODES * p0))
+    counts: Counter[Word] = Counter()
     for start in range(0, count, block_words):
         block = lengths[start : start + block_words]
         letters = rng.choice(alphabet.n, size=block.sum(), p=letter_probs)
         codes = np.insert(letters + 1, np.cumsum(block[:-1]), 0).astype("<u4")
         counts.update(codes.tobytes().decode("utf-32-le", "surrogatepass").split("\0"))
+    return counts
 
 
 def generate_words(
@@ -144,8 +146,7 @@ def generate_words(
 
     # the stream SeedSequence(seed).spawn(1)[0], so a seed draws what it always drew
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
-    counts: Counter[Word] = Counter()
-    _generate_stream(alphabet, word_count, rng, word_cap, counts)
+    counts = _generate_stream(alphabet, word_count, rng, word_cap)
     if skip_empty:
         word_count -= counts.pop("", 0)
     return FrequencyTable(counts, word_count)
@@ -170,7 +171,7 @@ def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
 
 
 def word_rows(
-    table: FrequencyTable, labels: Sequence[str], empty_token: str = "<EPS>"
+    table: FrequencyTable, labels: Sequence[str], empty_token: str = EMPTY_WORD
 ) -> Iterator[tuple[str, int]]:
     """(rendered word, count) rows: most frequent first, ties in letter-index
     order; the empty word is rendered as empty_token.  The words are ranked

@@ -190,7 +190,7 @@ def reference_estimate(text, fold_case=True, collapse_whitespace=True):
         else:
             in_run = False
             if ch.isalpha():
-                key = ch.lower() if fold_case else ch
+                key = ch.lower() if fold_case and len(ch.lower()) == 1 else ch
                 counts[key] = counts.get(key, 0) + 1
     total = spaces + sum(counts.values())
     if total == 0:
@@ -210,7 +210,8 @@ def _outcome(estimate, *args, **kwargs):
 
 
 # letters whose lowercase differs from a one-letter case map (İ lowers to two
-# code points), punctuation, digits, CJK, and whitespace beyond ' \t\n'
+# code points, so it is kept as it is), punctuation, digits, CJK, and
+# whitespace beyond ' \t\n'
 CORPUS_CHARS = st.sampled_from(
     list("abcXYZİßẞ.,!?-09中文字")
     + [" ", "\t", "\n", "\r", "\x0b", "\x85", "\x1c", "\u2028", "\u3000"]
@@ -335,7 +336,44 @@ class TestLabelRule:
         monkeypatch.setattr(am, "_check_labels", refuse)
         make_gusein_zade(30, 0.2)
         make_uniform(30, 0.2)
-        estimate_from_corpus("İ i ab ba")  # 'i' and the two-code-point 'i̇' are both labels
+        estimate_from_corpus("İ i ab ba")  # 'i' and the unfolded 'İ' are both labels
+
+    @pytest.mark.parametrize(
+        "labels, spelling",
+        [
+            (["<", "EPS>", "b"], "'<' + 'EPS>'"),
+            (["<EPS>", "b"], "'<EPS>'"),
+            (["<", "E", "P", "S>", "b"], "'<' + 'E' + 'P' + 'S>'"),
+        ],
+    )
+    def test_labels_that_spell_the_empty_word_rejected(self, labels, spelling):
+        # a word table writes the empty word as <EPS>: no word may render like it
+        text = "space 0.2\n" + "".join(f"{x} {0.8 / len(labels)!r}\n" for x in labels)
+        with pytest.raises(ValueError) as exc:
+            am.loads(text)
+        assert str(exc.value) == (
+            f"bad letter labels: {spelling} spells '<EPS>', which a word table writes "
+            "for the empty word"
+        )
+
+    @pytest.mark.parametrize("labels", [["<", "EPS", "b"], ["<EPS>x", "b"], ["EPS>", "b"]])
+    def test_labels_that_do_not_spell_the_empty_word_pass(self, labels):
+        text = "space 0.2\n" + "".join(f"{x} {0.8 / len(labels)!r}\n" for x in labels)
+        assert sorted(am.loads(text).labels) == sorted(labels)
+
+
+class TestOneCodePointLabels:
+    def test_dotted_capital_i_is_not_folded(self):
+        # İ lowers to "i" plus a combining dot, which starts with the label "i"
+        al = estimate_from_corpus("İstanbul is in it")
+        assert set(al.labels) == set("abilnstuİ")
+        assert_alphabets_close(al, am.loads(am.to_text(al)))
+
+    def test_every_folded_letter_is_one_code_point(self):
+        # the only letter whose lower case is longer than one code point
+        assert [c for c in map(chr, range(0x110000)) if c.isalpha() and len(c.lower()) > 1] == [
+            "\u0130"
+        ]
 
 
 class TestInvariants:
@@ -350,6 +388,31 @@ class TestInvariants:
             assert abs(math.fsum(al.letter_probs) + al.space_prob - 1.0) <= 1e-12
             assert all(a >= b for a, b in zip(al.letter_probs, al.letter_probs[1:]))
             assert all(p > 0 for p in al.letter_probs)
+
+    @pytest.mark.parametrize(
+        "n, p0, message",
+        [
+            (1, 0.2, "alphabet needs at least 2 letters, got 1"),
+            (0, 0.2, "alphabet needs at least 2 letters, got 0"),
+            (3, 1.0, "space probability must be in [0, 1), got 1.0"),
+            (3, -0.1, "space probability must be in [0, 1), got -0.1"),
+            (3, math.nan, "space probability must be in [0, 1), got nan"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n, p0: am.Alphabet((1 / max(n, 1),) * n, p0),
+            lambda n, p0: make_explicit([(1 - p0) / max(n, 1)] * n, p0),
+            make_uniform,
+            make_gusein_zade,
+        ],
+        ids=["Alphabet", "make_explicit", "make_uniform", "make_gusein_zade"],
+    )
+    def test_each_constructor_states_a_rule_alike(self, build, n, p0, message):
+        with pytest.raises(ValueError) as exc:
+            build(n, p0)
+        assert str(exc.value) == message
 
     def test_direct_constructor_validates(self):
         with pytest.raises(ValueError):

@@ -49,7 +49,7 @@ COMMAND_OPTIONS = {
     "certify": sorted(["--help", "--out", "--x-max", "-h", *ALPHABET]),
     "compare": sorted(["--help", "--in", "--out", "--window", "-h", *ALPHABET]),
     "fit": ["--help", "--in", "--out", "--plot-data", "--window", "-h"],
-    "gamma": sorted(["--help", "--out", "--tol", "-h", *ALPHABET]),
+    "gamma": sorted(["--help", "--out", "-h", *ALPHABET]),
     "ingest": ["--alphabet-out", "--corpus", "--help", "--keep-case", "--out", "-h"],
     "levels": sorted(
         ["--help", "--max-rank", "--max-weight", "--no-empty-word", "--out", "-h", *ALPHABET]

@@ -109,6 +109,21 @@ class TestGammaCommand:
         assert code == 1
         assert "p0" in err
 
+    @pytest.mark.parametrize("source", ["--alphabet", "--corpus"])
+    def test_p0_with_a_file_source_exits_1(self, capsys, tmp_path, source):
+        # the file sets the space probability; --p0 used to be ignored silently
+        path = tmp_path / "source.txt"
+        path.write_text("space 0.2\na 0.5\nb 0.3\n")
+        code, out, err = run(capsys, "gamma", source, str(path), "--p0", "0.9")
+        assert (code, out) == (1, "")
+        assert "--p0 goes only with --uniform/--gusein-zade" in err
+
+    def test_tol_option_is_gone(self, capsys):
+        argv = ["gamma", "--gusein-zade", "26", "--p0", "0.18", "--tol", "1e-14"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "--tol" in err
+
 
 class TestLevelsCommand:
     def test_uniform_table(self, capsys):
@@ -259,6 +274,18 @@ class TestSimulateCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad letter label {bad!r}: labels must be nonempty")
+
+    @pytest.mark.parametrize("labels", [["<", "EPS>", "b"], ["<EPS>", "b"]])
+    def test_labels_that_spell_the_empty_word_exit_2(self, capsys, tmp_path, labels):
+        # "<"+"EPS>" would render like the empty word, a second "<EPS>" row
+        path = tmp_path / "alpha.txt"
+        path.write_text("space 0.2\n" + "".join(f"{x} {0.8 / len(labels)!r}\n" for x in labels))
+        code, out, err = run(
+            capsys, "simulate", "--alphabet", str(path), "--n-words", "20000", "--seed", "1"
+        )
+        assert (code, out) == (2, "")
+        spelled = " + ".join(repr(x) for x in labels[:-1])
+        assert err.startswith(f"error: bad letter labels: {spelled} spells '<EPS>'")
 
 
 class TestFitAndCompare:
@@ -430,6 +457,21 @@ class TestIngest:
         assert code == 0
         assert alpha_out.read_text().lstrip().startswith("{")
         assert am.loads(alpha_out.read_text()).n >= 2
+
+    @pytest.mark.parametrize("name", ["alpha.txt", "alpha.json"])
+    def test_alphabet_out_reads_back(self, capsys, tmp_path, name):
+        # "İ" lowers to "i" plus a combining dot, which would start with the label "i"
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("İstanbul is in it\n")
+        alpha_out = tmp_path / name
+        code, _, _ = run(
+            capsys, "ingest", "--corpus", str(corpus), "--alphabet-out", str(alpha_out)
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "gamma", "--alphabet", str(alpha_out))
+        assert code == 0
+        assert "n=9" in out
+        assert {"i", "İ"} <= set(am.loads(alpha_out.read_text()).labels)
 
     def test_ingest_output_feeds_fit(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -837,7 +879,7 @@ ALPHABET_COMMANDS = ("gamma", "levels", "qfun", "certify", "simulate", "compare"
 # per command: option -> plain values (None: a flag; a str: a kind of input
 # file; a tuple of options: one of them, as for an exclusive group)
 COMMAND_OPTIONS = {
-    "gamma": {"--tol": ["1e-3", "1e-14"]},
+    "gamma": {},
     "levels": {("--max-rank", "--max-weight"): ["1", "2.5", "100", "10000"], "--no-empty-word": None},
     "qfun": {"--x-max": ["3", "12"]},
     "certify": {"--x-max": ["3", "12"]},

@@ -82,18 +82,6 @@ class TestSolveGamma:
             lo, hi = min(a, b), max(a, b)
             assert power_sum(al, lo) > power_sum(al, hi)
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            solve_gamma(make_uniform(2, 0.1), tol=0.0)
-
-    @pytest.mark.parametrize("tol", [1e-300, 5e-324])
-    def test_tolerance_below_float_spacing_stops(self, tol):
-        # the bracket stops at adjacent floats instead of looping forever
-        al = make_uniform(3, 0.2)
-        sol = solve_gamma(al, tol=tol)
-        assert sol.gamma == pytest.approx(solve_gamma(al).gamma, abs=1e-14)
-        assert sol.iterations < 1100
-
 
 class TestRescaleWeights:
     def test_symmetric_no_space(self):

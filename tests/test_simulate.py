@@ -141,8 +141,7 @@ class TestCounting:
         ],
     )
     def test_matches_word_by_word_count(self, alphabet, count):
-        got = Counter()
-        _generate_stream(alphabet, count, np.random.default_rng(11), 10**8, got)
+        got = _generate_stream(alphabet, count, np.random.default_rng(11), 10**8)
         assert got == _reference_counts(alphabet, count, 11)
 
     @pytest.mark.parametrize(
@@ -155,15 +154,14 @@ class TestCounting:
         # 5000 words: ragged last block, whole blocks, and one block; u2's
         # mostly empty words give blocks that draw no letter
         monkeypatch.setattr(simulate, "_BLOCK_CODES", _codes_for(block, alphabet.space_prob))
-        got = Counter()
-        _generate_stream(alphabet, 5000, np.random.default_rng(11), 10**8, got)
+        got = _generate_stream(alphabet, 5000, np.random.default_rng(11), 10**8)
         assert got == _reference_counts(alphabet, 5000, 11)
 
     def test_each_draw_holds_one_block_of_letters(self, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK_CODES", _codes_for(700, 0.18))
         alphabet = make_gusein_zade(5, 0.18)
-        rng, got = _RecordingRng(11), Counter()
-        _generate_stream(alphabet, 5000, rng, 10**8, got)
+        rng = _RecordingRng(11)
+        got = _generate_stream(alphabet, 5000, rng, 10**8)
         lengths = np.random.default_rng(11).geometric(0.18, size=5000) - 1
         assert rng.sizes == [int(lengths[i : i + 700].sum()) for i in range(0, 5000, 700)]
         assert got == _reference_counts(alphabet, 5000, 11)
@@ -171,8 +169,8 @@ class TestCounting:
     def test_blocks_hold_a_fixed_number_of_code_points(self):
         # a word is 1/p0 code points on average, so a block is 2**18 * p0 words
         alphabet, block = make_uniform(2, 0.01), int(2**18 * 0.01)
-        rng, got = _RecordingRng(11), Counter()
-        _generate_stream(alphabet, 6000, rng, 10**8, got)
+        rng = _RecordingRng(11)
+        got = _generate_stream(alphabet, 6000, rng, 10**8)
         lengths = np.random.default_rng(11).geometric(0.01, size=6000) - 1
         assert rng.sizes == [int(lengths[i : i + block].sum()) for i in range(0, 6000, block)]
         assert got == _reference_counts(alphabet, 6000, 11)
@@ -199,7 +197,7 @@ class TestCounting:
         counts = Counter()
         for i, child in enumerate(np.random.SeedSequence(7).spawn(n)):
             rng = np.random.Generator(np.random.PCG64(child))
-            _generate_stream(al, base + (i < extra), rng, simulate.DEFAULT_WORD_CAP, counts)
+            counts.update(_generate_stream(al, base + (i < extra), rng, simulate.DEFAULT_WORD_CAP))
         table = FrequencyTable(counts, 20000)
         rows = "".join(f"{w}\t{c}\n" for w, c in word_rows(table, al.labels))
 

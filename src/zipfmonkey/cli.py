@@ -195,8 +195,7 @@ def _cmd_simulate(args) -> Output:
         f"# n_words={table.total_words} seed={seed}",
         "# columns: word\tcount",
     ]
-    rows = simulate.word_rows(table, al.labels)
-    return EXIT_OK, chain(header, (f"{w}\t{c}" for w, c in rows))
+    return EXIT_OK, chain(header, simulate.word_lines(table, al.labels))
 
 
 def _rank_row(row: tuple[str, str]) -> tuple[int, float]:

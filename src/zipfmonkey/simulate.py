@@ -22,7 +22,9 @@ and one block's letters, not with all the letters; the block size changes
 no count.  The encoding allows at most sys.maxunicode letters.
 
 A rank-frequency curve is held as runs of equal frequency, one per distinct
-count (the frequency spectrum), not as one point per word.
+count (the frequency spectrum), not as one point per word.  A word table is
+rendered run by run: word_lines renders a slice of a run with one join,
+translate, replace and split, exact while no label holds a newline.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ Word = str  # letter i is chr(i + 1)
 DEFAULT_WORD_CAP = 10**8
 
 _BLOCK_CODES = 1 << 18  # code points (letters and separators) drawn and counted at a time
+_RUN_SLICE = 8192  # words of one run rendered by one pass of string calls
 
 
 @dataclass
@@ -138,7 +141,10 @@ def generate_words(
     if word_count < 1:
         raise ValueError(f"word_count must be positive, got {word_count}")
     if word_count > word_cap:
-        raise ValueError(f"word_count {word_count} exceeds the cap {word_cap}")
+        raise ResourceGuardError(
+            f"word_count {word_count} exceeds the cap {word_cap}; "
+            "raise ZIPFMONKEY_WORD_CAP to allow more"
+        )
     if alphabet.n > sys.maxunicode:  # letter i is encoded as the code point i + 1
         raise ValueError(f"simulation allows at most {sys.maxunicode} letters, got {alphabet.n}")
 
@@ -170,14 +176,41 @@ def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
     return RankFrequency(tuple((hi - k + 1, hi, c / total) for (c, k), hi in zip(spectrum, his)))
 
 
-def word_rows(
+def word_lines(
     table: FrequencyTable, labels: Sequence[str], empty_token: str = EMPTY_WORD
-) -> Iterator[tuple[str, int]]:
-    """(rendered word, count) rows: most frequent first, ties in letter-index
-    order; the empty word is rendered as empty_token.  The words are ranked
-    now and rendered as the rows are read."""
+) -> Iterator[str]:
+    r"""The table's "word\tcount" lines: most frequent first, ties in
+    letter-index order; the empty word is rendered as empty_token.  The words
+    are ranked now and rendered as the lines are read.
+
+    The ranked words fall in runs of equal count c (the spectrum).  Up to
+    _RUN_SLICE words of a run at a time are joined with "\0", translated
+    (code point i + 1 to labels[i], 0 to "\n"), given their count by
+    .replace("\n", "\t{c}\n") and split on "\n".  Words hold no code point
+    0, and letters 9 and 10 (the code points of "\t" and "\n") are
+    translated before any "\n" is read as a separator, so the lines are
+    exact whenever no label holds "\n".  0 maps to one ASCII character, not
+    to "\t{c}\n", so that ASCII words under one-character ASCII labels keep
+    the ASCII fast path of str.translate.  The empty word, first in its run,
+    is rendered on its own.
+    """
     entries = table.entries
     ranked = sorted(entries)
     ranked.sort(key=entries.__getitem__, reverse=True)  # stable: ties keep word order
+    spectrum = sorted(Counter(entries.values()).items(), reverse=True)  # (count, words)
     to_labels = dict(enumerate(labels, 1))
-    return ((w.translate(to_labels) if w else empty_token, entries[w]) for w in ranked)
+    to_labels[0] = "\n"
+
+    def lines() -> Iterator[str]:
+        lo = 0
+        for c, k in spectrum:
+            hi, tail = lo + k, f"\t{c}"
+            if ranked[lo] == "":
+                yield empty_token + tail
+                lo += 1
+            for start in range(lo, hi, _RUN_SLICE):
+                text = "\0".join(ranked[start : min(start + _RUN_SLICE, hi)]).translate(to_labels)
+                yield from (text.replace("\n", tail + "\n") + tail).split("\n")
+            lo = hi
+
+    return lines()

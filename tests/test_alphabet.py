@@ -17,7 +17,7 @@ from zipfmonkey import (
     make_gusein_zade,
     make_uniform,
 )
-from zipfmonkey.simulate import word_rows
+from zipfmonkey.simulate import word_lines
 
 
 class TestMakeUniform:
@@ -162,8 +162,9 @@ class TestEstimateFromCorpus:
         true = make_explicit((0.45, 0.25, 0.12), 0.18)
         table = generate_words(true, 150_000, seed=20260808)
         pieces = []
-        for word, count in word_rows(table, true.labels, ""):
-            pieces.extend([word] * count)
+        for line in word_lines(table, true.labels, ""):
+            word, _, count = line.rpartition("\t")
+            pieces.extend([word] * int(count))
         # joining with single spaces reconstructs a character stream of the
         # model, empty words included as consecutive spaces
         text = " ".join(pieces)

@@ -593,11 +593,12 @@ class TestExitCodes:
 
     def test_word_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ZIPFMONKEY_WORD_CAP", "10")
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "simulate", "--uniform", "2", "--p0", "0.3",
             "--n-words", "100", "--seed", "1",
         )
-        assert code == 2  # cap raises ValueError -> validation
+        assert code == 3  # a resource guard, as the cap on letters is
+        assert "ZIPFMONKEY_WORD_CAP" in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     @pytest.mark.parametrize(

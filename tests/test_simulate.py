@@ -24,7 +24,8 @@ from zipfmonkey import (
 )
 from zipfmonkey import simulate
 from zipfmonkey.cli import main
-from zipfmonkey.simulate import _generate_stream, word_rows
+from zipfmonkey.errors import ResourceGuardError
+from zipfmonkey.simulate import _generate_stream, word_lines
 
 N_WORDS = 100_000
 SEED = 20260808
@@ -81,7 +82,7 @@ class TestGenerateWords:
             generate_words(make_explicit((0.5, 0.5), 0.0), 100, seed=1)
         with pytest.raises(ValueError):
             generate_words(make_uniform(2, 0.3), 0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceGuardError, match="ZIPFMONKEY_WORD_CAP"):
             generate_words(make_uniform(2, 0.3), 10**9 + 1, seed=1, word_cap=10**9)
 
 
@@ -199,7 +200,7 @@ class TestCounting:
             rng = np.random.Generator(np.random.PCG64(child))
             counts.update(_generate_stream(al, base + (i < extra), rng, simulate.DEFAULT_WORD_CAP))
         table = FrequencyTable(counts, 20000)
-        rows = "".join(f"{w}\t{c}\n" for w, c in word_rows(table, al.labels))
+        rows = "".join(line + "\n" for line in word_lines(table, al.labels))
 
         def head(tail):
             return (
@@ -263,13 +264,45 @@ class TestCounting:
 class TestWordRows:
     def test_order_and_labels(self):
         table = FrequencyTable({"\x02": 2, "\x01\x02": 2, "": 1, "\x01": 2, "\x03": 3}, 10)
-        rows = list(word_rows(table, ("zy", "x", "w"), "<E>"))
+        lines = list(word_lines(table, ("zy", "x", "w"), "<E>"))
         # most frequent first; ties in letter-index order (a prefix first),
         # not in the order of the rendered labels
-        assert rows == [("w", 3), ("zy", 2), ("zyx", 2), ("x", 2), ("<E>", 1)]
+        assert lines == ["w\t3", "zy\t2", "zyx\t2", "x\t2", "<E>\t1"]
 
     def test_default_empty_token(self):
-        assert list(word_rows(FrequencyTable({"": 4}, 4), ("a", "b"))) == [("<EPS>", 4)]
+        assert list(word_lines(FrequencyTable({"": 4}, 4), ("a", "b"))) == ["<EPS>\t4"]
+
+    @pytest.mark.parametrize("run_slice", [1, 3, simulate._RUN_SLICE])
+    @pytest.mark.parametrize("empty", ["alone", "shared", "absent"])
+    @pytest.mark.parametrize(
+        "alphabet",
+        [
+            make_uniform(2, 0.3),
+            make_gusein_zade(5, 0.18),
+            make_uniform(12, 0.2),  # letters 9 and 10 are the code points of \t and \n
+            make_uniform(30, 0.2),  # multi-character default labels
+            _corpus_alphabet(),  # CJK labels, one code point each
+            make_explicit((0.4, 0.2, 0.2), 0.2, ("zy", "x", "w")),  # file-style labels
+        ],
+        ids=["u2", "gz5", "u12", "u30", "cjk300", "file-labels"],
+    )
+    def test_equals_per_row_reference(self, monkeypatch, alphabet, empty, run_slice):
+        entries = dict(generate_words(alphabet, 3000, seed=11).entries)
+        entries.pop("", None)
+        if empty == "alone":
+            entries[""] = max(entries.values()) + 1
+        elif empty == "shared":
+            entries[""] = 1
+            assert list(entries.values()).count(1) > 1
+        table = FrequencyTable(entries, sum(entries.values()))
+        monkeypatch.setattr(simulate, "_RUN_SLICE", run_slice)
+
+        to_labels = dict(enumerate(alphabet.labels, 1))
+        reference = [
+            f"{w.translate(to_labels) if w else '<EPS>'}\t{c}"
+            for w, c in sorted(entries.items(), key=lambda wc: (-wc[1], wc[0]))
+        ]
+        assert list(word_lines(table, alphabet.labels)) == reference
 
 
 class TestFrequencyTable:

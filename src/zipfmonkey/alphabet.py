@@ -24,9 +24,6 @@ NORMALIZATION_TOL = 1e-12
 
 EMPTY_WORD = "<EPS>"  # how a word table renders the empty word
 
-# \s matches exactly the characters for which str.isspace() holds
-_WHITESPACE_RUN = re.compile(r"\s+")
-
 
 def _check_size(n: int, p0: float) -> None:
     """The rules on the letter count and p0, checkable before a letter is built."""
@@ -164,10 +161,10 @@ def estimate_from_corpus(
     character, which matches model-generated streams where consecutive
     spaces delimit empty words.
 
-    The text is counted per character by one Counter and its whitespace runs
-    by one regex scan; each distinct character is then classified once, so
-    the letter test and case folding run per distinct character, not per
-    occurrence.  Folding keeps U+0130, the one letter whose lower case is two
+    One Counter counts the text per character, and its whitespace runs are the
+    gaps between str.split's tokens plus each end that is whitespace.  Each
+    distinct character is classified once, so the letter test and case folding
+    run per distinct character.  Folding keeps U+0130, whose lower case is two
     code points, so each label is one code point and the set is prefix-free.
     """
     chars = Counter(text)
@@ -176,7 +173,7 @@ def estimate_from_corpus(
         if ch.isalpha():
             counts[ch.lower() if fold_case and len(ch.lower()) == 1 else ch] += c
     if collapse_whitespace:
-        spaces = len(_WHITESPACE_RUN.findall(text))
+        spaces = len(text.split()) - 1 + text[0].isspace() + text[-1].isspace() if text else 0
     else:
         spaces = sum(c for ch, c in chars.items() if ch.isspace())
     total = spaces + sum(counts.values())

@@ -105,6 +105,7 @@ def _write(path: str | None, lines: Iterable[str]) -> None:
 # --- subcommands -------------------------------------------------------------
 # Each computes its whole result, then returns (exit code, output lines); only
 # rendering is left to the lazy lines, so a command that fails writes nothing.
+# levels leaves its walk to them too: past its checks it ends only in "# truncated".
 
 Output = tuple[int, Iterable[str]]
 
@@ -128,20 +129,20 @@ def _cmd_gamma(args) -> Output:
 
 def _cmd_levels(args) -> Output:
     al = _resolve_alphabet(args)
-    table = pyramid.enumerate_levels(
+    levels = pyramid.level_rows(
         al, max_rank=args.max_rank, max_weight=args.max_weight, node_budget=args.node_budget
     )
     ln10 = math.log(10.0)
 
     def rows():
-        for lv in table:
-            lo, hi = lv.rank_lo, lv.rank_hi
-            if args.no_empty_word:  # drop rank 1, the empty word, and shift down
-                lo, hi = max(lo, 2) - 1, hi - 1
-                if hi < lo:
-                    continue
-            yield f"{lo}\t{hi}\t{lv.log_prob / ln10!r}\t{lv.weight!r}\t{hi - lo + 1}"
-        if table.truncated:
+        try:
+            for weight, lo, hi, log_prob in levels:
+                if args.no_empty_word:  # drop rank 1, the empty word, and shift down
+                    lo, hi = max(lo, 2) - 1, hi - 1
+                    if hi < lo:
+                        continue
+                yield f"{lo}\t{hi}\t{log_prob / ln10!r}\t{weight!r}\t{hi - lo + 1}"
+        except ResourceGuardError:  # raised in place of the partial level
             yield (
                 f"# truncated: node budget {args.node_budget} reached, trailing level "
                 "dropped; raise ZIPFMONKEY_NODE_BUDGET to allow more"

@@ -12,7 +12,8 @@ lattice region (q_tilde_direct, which answers rank_of_probability), by
 memoized recursion on the functional equation
 Q(x) = Q(x - L_1) + ... + Q(x - L_n) + step(x) (q_tilde_recursive, the
 cross-check), and by one best-first generator of its jumps, one per level,
-behind enumerate_levels, weight_events and verify_bounds.  Both walks
+behind level_rows (which the CLI streams and enumerate_levels holds),
+weight_events and verify_bounds (one exp per jump).  Both walks
 group letters of exactly equal weight: g letters in k slots make g**k
 words.  The direct walk sums its two lightest groups in one loop, the
 lightest in closed form.  The generator walks multisets of groups as
@@ -25,7 +26,7 @@ dyadic rational, so the weights and TIE_EPS over their largest power-of-two
 denominator become integers (_grid, built once per WeightVector, tie
 groups included); lattice sums never suffer rounding, and ties are exact
 equalities.  A query floors x + TIE_EPS onto that grid, which is exact:
-every lattice sum is an integer there, whatever x's denominator.  One tie
+every lattice sum is an integer there, whatever finite x.  One tie
 rule holds everywhere: weights within TIE_EPS are one level, and a query
 at x (or a bound x_max) counts every point up to x + TIE_EPS, so levels,
 the jumps of Q and rank queries group words identically.
@@ -45,7 +46,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, pairwise
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
@@ -121,6 +122,8 @@ class _Grid(NamedTuple):
 
     def threshold(self, x) -> int:
         """floor((x + TIE_EPS) * denom), exactly, for a float, int or Fraction x."""
+        if not -math.inf < x < math.inf:
+            raise ValueError(f"weight bound must be a finite number, got {x}")
         x_num, x_den = x.as_integer_ratio()
         return x_num * self.denom // x_den + self.tie
 
@@ -302,13 +305,13 @@ def rank_of_probability(
 def _iter_levels(
     weights: WeightVector, x: float | None, budget: int
 ) -> Iterator[tuple[float, int]]:
-    """Yield the jumps (weight, Q(weight)) of the counting function, level by level.
+    """The jumps (weight, Q(weight)) of the counting function, level by level.
 
     A level is complete when yielded: it opens at a lattice point of weight
     w0 and closes at the first popped point heavier than w0 + TIE_EPS.  With
     a bound, levels open up to x + TIE_EPS, so points are pushed up to
     x + 2 * TIE_EPS and the walk ends at the first level opening beyond.
-    With x None the lattice is unbounded and the caller must stop consuming.
+    The bound is checked at the call; with None the caller must stop reading.
 
     A multiset k of tie groups (sizes g_j, by weight) is walked as its
     nondecreasing group sequence.  A node (w, words, j, m, length, points)
@@ -320,9 +323,11 @@ def _iter_levels(
     ResourceGuardError is raised once more than budget lattice points have
     been popped through the open level; the levels before it are yielded.
     """
-    grid = weights.grid
+    return _walk(weights.grid, None if x is None else weights.grid.threshold(x), budget)
+
+
+def _walk(grid: _Grid, T: int | None, budget: int) -> Iterator[tuple[float, int]]:
     w, g, tie, denom = grid
-    T = None if x is None else grid.threshold(x)
     last = len(w) - 1
     reach = math.inf if T is None else T + tie  # the last level's own tie
     heap = [(0, 1, 0, 0, 0, 1)]
@@ -352,21 +357,19 @@ def _iter_levels(
     yield start / denom, q
 
 
-def enumerate_levels(
+def level_rows(
     alphabet: Alphabet,
     *,
     max_rank: int | None = None,
     max_weight: float | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> LevelTable:
-    """Group the word list into probability classes with cumulative ranks.
+) -> Iterator[tuple[float, int, int, float]]:
+    """Yield the probability classes as (weight, rank_lo, rank_hi, log_prob).
 
-    Exactly one budget must be given: max_rank enumerates complete levels
-    until the cumulative rank reaches it; max_weight enumerates every level
-    with weight <= max_weight.  Compositions whose weights differ by at most
-    TIE_EPS merge into one level.  If the node budget runs out mid-level the
-    partial level is dropped and the complete prefix is returned with
-    truncated=True.
+    Exactly one bound, checked at the call: complete levels until the rank
+    reaches max_rank, or every level with weight <= max_weight.  Weights
+    within TIE_EPS are one level.  ResourceGuardError replaces the level
+    that the node budget cuts.
     """
     if (max_rank is None) == (max_weight is None):
         raise ValueError("specify exactly one of max_rank, max_weight")
@@ -378,15 +381,32 @@ def enumerate_levels(
     if p0 <= 0.0:
         raise ValueError("levels need a positive space probability")
     log_p0 = math.log(p0)
+    jumps = _iter_levels(log_weights(alphabet), max_weight, node_budget)
 
-    levels: list[Level] = []
-    q_prev = 0  # the ranks of a level run from the previous jump's Q + 1 to its own
-    try:
-        for weight, q in _iter_levels(log_weights(alphabet), max_weight, node_budget):
-            levels.append(Level(weight, q - q_prev, q_prev + 1, q, log_p0 - weight))
-            q_prev = q
+    def rows():
+        q_prev = 0  # the ranks of a level run from the previous jump's Q + 1 to its own
+        for weight, q in jumps:
+            yield weight, q_prev + 1, q, log_p0 - weight
             if max_rank is not None and q >= max_rank:
-                break
+                return
+            q_prev = q
+
+    return rows()
+
+
+def enumerate_levels(
+    alphabet: Alphabet,
+    *,
+    max_rank: int | None = None,
+    max_weight: float | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> LevelTable:
+    """level_rows' levels as a table, truncated=True if the node budget cut one."""
+    rows = level_rows(alphabet, max_rank=max_rank, max_weight=max_weight, node_budget=node_budget)
+    levels: list[Level] = []
+    try:
+        for weight, lo, hi, log_prob in rows:
+            levels.append(Level(weight, hi - lo + 1, lo, hi, log_prob))
     except ResourceGuardError:
         return LevelTable(tuple(levels), True)  # the partial level was never yielded
     return LevelTable(tuple(levels), False)
@@ -458,13 +478,18 @@ def verify_bounds(
 
     base_end = weights.L_max
     shift = 1.0 / (n - 1)
-    # (x, sup, inf) per event interval [x, next), next being x_max after the
-    # last event; the jumps are read in pairs from the walk, not held
-    jumps = chain(_iter_levels(weights, x_max, node_budget), [(x_max, 0)])
-    terms = (
-        (x, (q + shift) * math.exp(-x), (q + shift) * math.exp(-max(nxt, x)))
-        for (x, q), (nxt, _q) in pairwise(jumps)
-    )
+
+    def intervals():  # (x, sup, inf) per event interval [x, next), one exp per jump
+        jumps = _iter_levels(weights, x_max, node_budget)
+        x, q = next(jumps)
+        e = math.exp(-x)
+        for nxt, q_nxt in jumps:
+            e_nxt = math.exp(-nxt)  # the inf of [x, nxt) and the sup of [nxt, ...)
+            yield x, (q + shift) * e, (q + shift) * e_nxt
+            x, q, e = nxt, q_nxt, e_nxt
+        yield x, (q + shift) * e, (q + shift) * math.exp(-max(x_max, x))  # the last interval
+
+    terms = intervals()
     held = []  # the base interval's terms, then the first beyond it
     for term in terms:
         held.append(term)

@@ -140,6 +140,8 @@ def generate_words(
         raise ValueError("simulation requires a positive space probability")
     if word_count < 1:
         raise ValueError(f"word_count must be positive, got {word_count}")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if word_count > word_cap:
         raise ResourceGuardError(
             f"word_count {word_count} exceeds the cap {word_cap}; "

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,6 +237,39 @@ class TestEstimateMatchesReference:
         flags = dict(fold_case=fold_case, collapse_whitespace=collapse_whitespace)
         expected = _outcome(reference_estimate, text, **flags)
         assert _outcome(estimate_from_corpus, text, **flags) == expected
+
+
+ALL_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = "".join(ch for ch in ALL_CODE_POINTS if ch.isspace())
+
+
+def regex_runs_outcome(text):
+    """estimate_from_corpus on a text of a, b and whitespace, its space
+    events counted as the regex's whitespace runs."""
+    runs = len(re.findall(r"\s+", text))
+    counts = {c: text.count(c) for c in "ab" if c in text}
+    total = runs + sum(counts.values())
+    if total == 0:
+        return "empty corpus: no letters or spaces after filtering"
+    if len(counts) < 2:
+        return f"need at least 2 distinct letters, observed {len(counts)}"
+    return _outcome(make_explicit, [counts[c] / total for c in "ab"], runs / total, ["a", "b"])
+
+
+class TestWhitespaceRuns:
+    def test_regex_whitespace_is_isspace(self):
+        assert "".join(re.findall(r"\s", ALL_CODE_POINTS)) == WHITESPACE
+
+    @settings(max_examples=300)
+    @given(st.text(st.sampled_from("ab" + WHITESPACE), max_size=40))
+    @example("")
+    @example(" ")
+    @example("\u3000\x85\t\x1c")
+    @example(" a b ")
+    def test_split_runs_equal_regex_runs(self, text):
+        # "ab" on one side keeps the run count visible when text has no letters
+        for t in (text, "ab" + text, text + "ab"):
+            assert _outcome(estimate_from_corpus, t) == regex_runs_outcome(t), repr(t)
 
 
 def assert_alphabets_close(a, b, rel=1e-13):

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from zipfmonkey import alphabet as am
 from zipfmonkey import (
+    enumerate_levels,
     log_weights,
     make_explicit,
     make_gusein_zade,
@@ -170,6 +172,83 @@ class TestLevelsCommand:
             int(row[4])
 
 
+DYADIC = "a 0.5\nb 0.25\nc 0.125\nspace 0.125\n"
+TIED = "space 0.2\na 0.3\nb 0.3\nc 0.2\n"
+
+# (flags, alphabet) per source; a file source is written under tmp_path
+LEVEL_SOURCES = {
+    "gz5": lambda tmp: (["--gusein-zade", "5", "--p0", "0.18"], make_gusein_zade(5, 0.18)),
+    "gz26": lambda tmp: (["--gusein-zade", "26", "--p0", "0.18"], make_gusein_zade(26, 0.18)),
+    "u3": lambda tmp: (["--uniform", "3", "--p0", "0.1"], make_uniform(3, 0.1)),
+    "tied": lambda tmp: alphabet_file(tmp, TIED),
+    "dyadic": lambda tmp: alphabet_file(tmp, DYADIC),
+    "corpus": lambda tmp: corpus_file(tmp, seeded_corpus(7, 5000, 30)),
+}
+# (options, budget, truncates); a budget of None leaves the default
+LEVEL_OPTIONS = {
+    "max-rank": (["--max-rank", "3000"], None, False),
+    "max-weight": (["--max-weight", "9.5"], None, False),
+    "no-empty-word": (["--max-rank", "3000", "--no-empty-word"], None, False),
+    "truncated": (["--max-rank", str(10**9), "--no-empty-word"], 400, True),
+}
+
+
+def alphabet_file(tmp, text):
+    path = tmp / "alphabet.txt"
+    path.write_text(text)
+    return ["--alphabet", str(path)], am.loads(text)
+
+
+def corpus_file(tmp, text):
+    path = tmp / "corpus.txt"
+    path.write_text(text, encoding="utf-8")
+    return ["--corpus", str(path)], am.estimate_from_corpus(text)
+
+
+def rendered_levels(al, options, budget):
+    """The levels rows as rendered from an enumerate_levels table."""
+    option, value = options[:2]
+    bound = {"max_rank": int(value)} if option == "--max-rank" else {"max_weight": float(value)}
+    table = enumerate_levels(al, node_budget=budget or cli_mod.pyramid.DEFAULT_NODE_BUDGET, **bound)
+    # the table's own stream against the jump walk: every level through the
+    # bound, or through the first level that reaches max_rank
+    jumps = weight_events(log_weights(al), bound.get("max_weight", table[-1].weight))
+    assert [(lv.weight, lv.rank_hi) for lv in table] == jumps
+    if "max_rank" in bound and not table.truncated:
+        assert table[-2].rank_hi < bound["max_rank"] <= table[-1].rank_hi
+    rows = []
+    for lv in table:
+        lo, hi = lv.rank_lo, lv.rank_hi
+        if "--no-empty-word" in options:
+            lo, hi = max(lo, 2) - 1, hi - 1
+            if hi < lo:
+                continue
+        rows.append(f"{lo}\t{hi}\t{lv.log_prob / math.log(10.0)!r}\t{lv.weight!r}\t{hi - lo + 1}")
+    if table.truncated:
+        rows.append(f"# truncated: node budget {budget} reached, trailing level dropped; "
+                    "raise ZIPFMONKEY_NODE_BUDGET to allow more")
+    return rows, table.truncated
+
+
+class TestLevelsStreamMatchesTable:
+    """levels renders its rows straight off the level walk; they are the rows
+    of the enumerate_levels table, truncation line included."""
+
+    @pytest.mark.parametrize("option", LEVEL_OPTIONS)
+    @pytest.mark.parametrize("source", LEVEL_SOURCES)
+    def test_rows(self, capsys, monkeypatch, tmp_path, source, option):
+        flags, al = LEVEL_SOURCES[source](tmp_path)
+        options, budget, truncates = LEVEL_OPTIONS[option]
+        if budget is not None:
+            monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", str(budget))
+        code, out, err = run(capsys, "levels", *flags, *options)
+        assert code == 0, err
+        expected, truncated = rendered_levels(al, options, budget)
+        assert truncated == truncates
+        assert len(expected) > 3
+        assert out.splitlines()[2:] == expected
+
+
 class TestQfunCommand:
     def test_matches_weight_events(self, capsys):
         code, out, _ = run(capsys, "qfun", "--uniform", "2", "--p0", str(1 / 3), "--x-max", "4")
@@ -255,6 +334,14 @@ class TestSimulateCommand:
         rows = tsv_rows(out1)
         assert sum(int(c) for _w, c in rows) == 500
         assert rows[0][0] == "<EPS>"  # p0=0.4 makes the empty word the mode
+
+    def test_negative_seed_names_the_rule(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--uniform", "2", "--p0", "0.4", "--n-words", "10", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed must be a nonnegative integer, got -1" in err
 
     def test_seed_required_with_out(self, capsys, tmp_path):
         code, _, err = run(
@@ -524,6 +611,34 @@ class TestExitCodes:
         assert code == 2
         assert "letters" in err
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("qfun", "--x-max", "inf"),
+        ("qfun", "--x-max", "nan"),
+        ("levels", "--max-weight", "inf"),
+        ("levels", "--max-weight", "nan"),
+        ("certify", "--x-max", "inf"),
+    ])
+    def test_non_finite_bound_names_the_rule(self, capsys, tmp_path, command, option, value):
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run(
+            capsys, command, "--gusein-zade", "5", "--p0", "0.18", option, value,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert err == f"error: weight bound must be a finite number, got {value}\n"
+        assert out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command, option, code, expected", [
+        ("qfun", "--x-max", 0, "# columns: x\tq"),  # no jump lies at or below -inf
+        ("levels", "--max-weight", 2, "weight budget must be nonnegative, got -inf"),
+        ("certify", "--x-max", 2, "x_max (-inf) must exceed the base interval end"),
+    ])
+    def test_minus_infinity_bound(self, capsys, command, option, code, expected):
+        got, out, err = run(capsys, command, "--gusein-zade", "5", "--p0", "0.18", f"{option}=-inf")
+        assert got == code
+        assert expected in (out.splitlines()[-1] if code == 0 else err)
+
     def test_resource_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", "50")
         code, _, err = run(
@@ -743,6 +858,30 @@ class TestExactOutputsPinned:
         assert code == 0, err
         assert "# truncated" not in out
         assert int(tsv_rows(out)[-1][1]) >= 2000
+
+
+class TestLevelsMemory:
+    def test_bytes_per_budgeted_point(self, capsys, monkeypatch, tmp_path):
+        # levels holds the walk's heap and one block of output lines, not a
+        # record per level: the memory that another 2*10**4 budgeted lattice
+        # points add, on 26 distinct weights where each point is its own level,
+        # stays under 250 B a point (a Level per row took about 380 B)
+        def traced_peak(budget):
+            monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", str(budget))
+            tracemalloc.start()
+            try:
+                code = main(["levels", "--gusein-zade", "26", "--p0", "0.18",
+                             "--max-rank", str(10**30), "--out", str(tmp_path / "levels.tsv")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        traced_peak(1000)  # imports and first-call caches, outside the measure
+        low, high = traced_peak(2 * 10**4), traced_peak(4 * 10**4)
+        assert (high - low) / (2 * 10**4) < 250
+        assert (tmp_path / "levels.tsv").read_text().endswith("ZIPFMONKEY_NODE_BUDGET to allow more\n")
 
 
 def sha(text):

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -37,6 +38,7 @@ from zipfmonkey.gamma import WeightVector
 from zipfmonkey.pyramid import (
     DEFAULT_NODE_BUDGET,
     TIE_EPS,
+    BoundCertificate,
     LevelTable,
     _grid,
     _Grid,
@@ -508,6 +510,20 @@ class TestEnumerateLevels:
         with pytest.raises(ValueError):
             enumerate_levels(make_explicit((0.5, 0.5), 0.0), max_rank=5)
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_non_finite_weight_bound_names_the_rule(self, bound):
+        al = make_gusein_zade(5, 0.18)
+        rule = f"weight bound must be a finite number, got {bound}"
+        with pytest.raises(ValueError, match=rule):
+            pyramid.level_rows(al, max_weight=bound)  # refused at the call, unread
+        with pytest.raises(ValueError, match=rule):
+            enumerate_levels(al, max_weight=bound)
+        with pytest.raises(ValueError, match=rule):
+            weight_events(log_weights(al), bound)
+        if bound == math.inf:  # a NaN x_max fails the base interval check first
+            with pytest.raises(ValueError, match=rule):
+                verify_bounds(rescale_weights(al, solve_gamma(al)), bound)
+
     def test_node_budget_truncates_cleanly(self):
         table = enumerate_levels(make_uniform(3, 0.1), max_rank=10**6, node_budget=500)
         assert table.truncated
@@ -728,6 +744,69 @@ class TestLevelGenerator:
         assert len(weight_events(wv, 6.0, node_budget=points)) > 0
         with pytest.raises(ResourceGuardError, match="ZIPFMONKEY_NODE_BUDGET"):
             weight_events(wv, 6.0, node_budget=points - 1)
+
+
+def two_pass_certificate(wv, x_max):
+    """verify_bounds read the plain way: the jumps held in a list and read in
+    pairs, with two exps per event interval; c1 and c2 from the intervals
+    that start in the base interval, then every interval checked."""
+    jumps = weight_events(wv, x_max)
+    shift = 1.0 / (wv.n - 1)
+    ends = [x for x, _q in jumps[1:]] + [max(x_max, jumps[-1][0])]
+    terms = [
+        (x, (q + shift) * math.exp(-x), (q + shift) * math.exp(-end))
+        for (x, q), end in zip(jumps, ends)
+    ]
+    base = [t for t in terms if t[0] <= wv.L_max]
+    c2 = max(sup for _x, sup, _inf in base) * (1.0 + pyramid._ENVELOPE_PAD)
+    c1 = min(inf for _x, _sup, inf in base) * (1.0 - pyramid._ENVELOPE_PAD)
+    for x, sup, inf in terms:
+        if not sup < c2:
+            raise BoundViolationError(f"upper envelope failed at x={x}: {sup} >= c2={c2}")
+        if not inf > c1:
+            raise BoundViolationError(f"lower envelope failed on [{x}, next): {inf} <= c1={c1}")
+    return BoundCertificate(c1, c2, wv.L_max, x_max, len(terms))
+
+
+def _rescaled(al):
+    return rescale_weights(al, solve_gamma(al))
+
+
+CERTIFY_WEIGHTS = {
+    "untied": _rescaled(make_gusein_zade(5, 0.18)),
+    "tied": _rescaled(make_explicit((0.3, 0.3, 0.2), 0.2)),
+    "dyadic": _rescaled(make_explicit((0.5, 0.25, 0.125), 0.125)),
+}
+
+
+def certify_x_maxes(wv):
+    """x_max just above L_max, at a few larger values, and within TIE_EPS
+    below a jump, so the last jump lies in (x_max, x_max + TIE_EPS]."""
+    jump = weight_events(wv, 10.0)[-2][0]
+    return [math.nextafter(wv.L_max, math.inf), wv.L_max + 0.5, 7.0, 16.0, jump - 5e-10]
+
+
+class TestVerifyBoundsMatchesTwoPass:
+    @pytest.mark.parametrize("name", CERTIFY_WEIGHTS)
+    def test_bit_for_bit(self, name):
+        wv = CERTIFY_WEIGHTS[name]
+        for x_max in certify_x_maxes(wv):
+            got, expected = verify_bounds(wv, x_max), two_pass_certificate(wv, x_max)
+            assert got == expected
+            assert (got.c1.hex(), got.c2.hex()) == (expected.c1.hex(), expected.c2.hex())
+        last = weight_events(wv, x_max)[-1][0]
+        assert x_max < last <= x_max + TIE_EPS
+
+    @pytest.mark.parametrize("name", CERTIFY_WEIGHTS)
+    def test_same_violation(self, name, monkeypatch):
+        # a negative pad puts c2 below the largest sup and c1 above the least inf
+        monkeypatch.setattr(pyramid, "_ENVELOPE_PAD", -1e-11)
+        wv = CERTIFY_WEIGHTS[name]
+        for x_max in certify_x_maxes(wv):
+            with pytest.raises(BoundViolationError) as expected:
+                two_pass_certificate(wv, x_max)
+            with pytest.raises(BoundViolationError, match=f"^{re.escape(str(expected.value))}$"):
+                verify_bounds(wv, x_max)
 
 
 class TestVerifyBounds:

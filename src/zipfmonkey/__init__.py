@@ -14,14 +14,7 @@ from .alphabet import (
     make_uniform,
 )
 from .errors import BoundViolationError, ResourceGuardError
-from .fit import (
-    ComparisonReport,
-    FitResult,
-    compare,
-    ols_loglog,
-    predicted_exponent,
-    rank_freq_from_levels,
-)
+from .fit import ComparisonReport, FitResult, compare, ols_loglog, predicted_exponent
 from .gamma import GammaSolution, WeightVector, log_weights, rescale_weights, solve_gamma
 from .pyramid import (
     BoundCertificate,
@@ -73,7 +66,6 @@ __all__ = [
     "predicted_exponent",
     "q_tilde_direct",
     "q_tilde_recursive",
-    "rank_freq_from_levels",
     "rank_of_probability",
     "rescale_weights",
     "solve_gamma",

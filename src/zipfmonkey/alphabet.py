@@ -149,33 +149,24 @@ def make_gusein_zade(n: int, p0: float) -> Alphabet:
     return make_explicit(probs, p0)
 
 
-def estimate_from_corpus(
-    text: str, *, fold_case: bool = True, collapse_whitespace: bool = True
-) -> Alphabet:
+def estimate_from_corpus(text: str, *, fold_case: bool = True) -> Alphabet:
     """Maximum-likelihood Alphabet from a text.
 
-    Characters for which str.isalpha holds count as letters; whitespace
-    counts as the space symbol; everything else is dropped.  By default a
-    maximal whitespace run is a single space event, which matches natural
-    text.  Pass collapse_whitespace=False to count every whitespace
-    character, which matches model-generated streams where consecutive
-    spaces delimit empty words.
+    Characters for which str.isalpha holds count as letters; a maximal
+    whitespace run counts as one space event, which matches natural text;
+    everything else is dropped.
 
-    One Counter counts the text per character, and its whitespace runs are the
+    One Counter counts the text per character, and the whitespace runs are the
     gaps between str.split's tokens plus each end that is whitespace.  Each
     distinct character is classified once, so the letter test and case folding
     run per distinct character.  Folding keeps U+0130, whose lower case is two
     code points, so each label is one code point and the set is prefix-free.
     """
-    chars = Counter(text)
     counts: Counter[str] = Counter()
-    for ch, c in chars.items():
+    for ch, c in Counter(text).items():
         if ch.isalpha():
             counts[ch.lower() if fold_case and len(ch.lower()) == 1 else ch] += c
-    if collapse_whitespace:
-        spaces = len(text.split()) - 1 + text[0].isspace() + text[-1].isspace() if text else 0
-    else:
-        spaces = sum(c for ch, c in chars.items() if ch.isspace())
+    spaces = len(text.split()) - 1 + text[0].isspace() + text[-1].isspace() if text else 0
     total = spaces + sum(counts.values())
     if total == 0:
         raise ValueError("empty corpus: no letters or spaces after filtering")

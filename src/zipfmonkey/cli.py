@@ -57,21 +57,6 @@ def _env_limit(name: str, default: int) -> int:
 # --- alphabet sources --------------------------------------------------------
 
 
-def _add_alphabet_options(parser: _Parser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alphabet", metavar="FILE", help="alphabet file (text or JSON)")
-    group.add_argument("--uniform", type=int, metavar="N", help="N equally likely letters")
-    group.add_argument(
-        "--gusein-zade", dest="gusein_zade", type=int, metavar="N",
-        help="N letters under the Gusein-Zade law",
-    )
-    group.add_argument("--corpus", metavar="FILE", help="estimate the alphabet from a text file")
-    parser.add_argument(
-        "--p0", type=float, default=None,
-        help="space probability (required with --uniform/--gusein-zade)",
-    )
-
-
 def _resolve_alphabet(args) -> alphabet_mod.Alphabet:
     if args.p0 is not None and args.uniform is None and args.gusein_zade is None:
         raise UsageError("--p0 goes only with --uniform/--gusein-zade; a file sets its own p0")
@@ -297,9 +282,7 @@ def _cmd_ingest(args) -> Output:
         "# columns: rank\tfreq",
     ]
     if args.alphabet_out:
-        al = alphabet_mod.estimate_from_corpus(
-            text, fold_case=not args.keep_case
-        )
+        al = alphabet_mod.estimate_from_corpus(text, fold_case=not args.keep_case)
         as_json = args.alphabet_out.endswith(".json")
         with open(args.alphabet_out, "w", encoding="utf-8") as fh:
             fh.write(alphabet_mod.to_json(al) if as_json else alphabet_mod.to_text(al))
@@ -321,13 +304,28 @@ def build_parser() -> _Parser:
     table = _Parser(add_help=False)  # the rank-frequency table read by fit and compare
     table.add_argument("--in", dest="infile", required=True, metavar="FILE")
     table.add_argument("--window", type=int, nargs=2, metavar=("R_MIN", "R_MAX"))
+    source = _Parser(add_help=False)  # the alphabet, read by _resolve_alphabet
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--alphabet", metavar="FILE", help="alphabet file (text or JSON)")
+    group.add_argument("--uniform", type=int, metavar="N", help="N equally likely letters")
+    group.add_argument(
+        "--gusein-zade", dest="gusein_zade", type=int, metavar="N",
+        help="N letters under the Gusein-Zade law",
+    )
+    group.add_argument("--corpus", metavar="FILE", help="estimate the alphabet from a text file")
+    source.add_argument(
+        "--p0", type=float, default=None,
+        help="space probability (required with --uniform/--gusein-zade)",
+    )
 
-    p = sub.add_parser("gamma", parents=[out], help="solve the exponent equation sum(p_i**g) = 1")
-    _add_alphabet_options(p)
+    p = sub.add_parser(
+        "gamma", parents=[out, source], help="solve the exponent equation sum(p_i**g) = 1"
+    )
     p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("levels", parents=[out], help="exact probability classes with rank spans")
-    _add_alphabet_options(p)
+    p = sub.add_parser(
+        "levels", parents=[out, source], help="exact probability classes with rank spans"
+    )
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--max-rank", type=int, help="enumerate levels through this rank")
     g.add_argument("--max-weight", type=float, help="enumerate levels up to this weight")
@@ -337,20 +335,19 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_levels)
 
-    p = sub.add_parser("qfun", parents=[out], help="counting function at its jump points")
-    _add_alphabet_options(p)
+    p = sub.add_parser("qfun", parents=[out, source], help="counting function at its jump points")
     p.add_argument("--x-max", type=float, required=True)
     p.set_defaults(func=_cmd_qfun)
 
-    p = sub.add_parser("certify", parents=[out], help="certify the exponential envelope constants")
-    _add_alphabet_options(p)
+    p = sub.add_parser(
+        "certify", parents=[out, source], help="certify the exponential envelope constants"
+    )
     p.add_argument("--x-max", type=float, required=True)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser(
-        "simulate", parents=[out], help="draw words from the model, emit word counts"
+        "simulate", parents=[out, source], help="draw words from the model, emit word counts"
     )
-    _add_alphabet_options(p)
     p.add_argument("--n-words", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--skip-empty", action="store_true", help="drop empty words, renormalize")
@@ -363,9 +360,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser(
-        "compare", parents=[out, table], help="fitted slope against the model slope -1/gamma"
+        "compare", parents=[out, table, source],
+        help="fitted slope against the model slope -1/gamma",
     )
-    _add_alphabet_options(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser(
@@ -379,13 +376,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         args.node_budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
         args.word_cap = _env_limit("ZIPFMONKEY_WORD_CAP", simulate.DEFAULT_WORD_CAP)
         code, lines = args.func(args)

@@ -2,20 +2,18 @@
 
 Reports use decimal logarithms (the convention of n-gram frequency work);
 the slope of a power law is base-invariant, so nothing depends on the
-choice internally.  A curve is a simulate.RankFrequency of runs of equal
-frequency; a fit expands only the ranks in its window, so its cost follows
-the window and the number of runs, not the number of words.
+choice internally.  A fit takes its curve only as a simulate.RankFrequency,
+runs of equal frequency, and expands only the ranks in its window, so its
+cost follows the window and the number of runs, not the number of words.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .alphabet import Alphabet
 from .gamma import solve_gamma
-from .pyramid import Level, LevelTable
 from .simulate import RankFrequency, expand_runs
 
 DEFAULT_R_MIN = 10
@@ -40,32 +38,25 @@ class ComparisonReport:
 
 
 def ols_loglog(
-    points: RankFrequency | Iterable[tuple[int, float]],
-    r_min: int = DEFAULT_R_MIN,
-    r_max: int | None = None,
+    points: RankFrequency, r_min: int = DEFAULT_R_MIN, r_max: int | None = None
 ) -> FitResult:
     """Least-squares line lg f = intercept + slope * lg r over a rank window.
 
     The default window [10, min(max rank, 10**4)] skips the head, where the
     level structure is a staircase, and the deep tail.  Requires a window
-    1 <= r_min <= r_max with at least 3 points of positive frequency.  Only
-    the window's ranks of a RankFrequency are expanded; others go unchecked.
+    1 <= r_min <= r_max with at least 3 points; a RankFrequency's
+    frequencies are positive by construction.  Only the window's ranks are
+    expanded.
     """
     if r_min < 1 or (r_max is not None and r_max < r_min):
         raise ValueError(f"rank window [{r_min}, {r_max}] must have 1 <= r_min <= r_max")
-    runs = points.runs if isinstance(points, RankFrequency) else [
-        (int(r), int(r), float(f)) for r, f in points
-    ]
     if r_max is None:
-        r_max = min(max((hi for _lo, hi, _f in runs), default=0), DEFAULT_R_MAX_CAP)
-    window = list(expand_runs(runs, r_min, r_max))
+        r_max = min(max((hi for _lo, hi, _f in points.runs), default=0), DEFAULT_R_MAX_CAP)
+    window = list(expand_runs(points.runs, r_min, r_max))
     if len(window) < 3:
         raise ValueError(
             f"need at least 3 points with rank in [{r_min}, {r_max}], got {len(window)}"
         )
-    for _r, f in window:
-        if not f > 0.0:
-            raise ValueError(f"frequencies must be positive, got {f}")
 
     xs = [math.log10(r) for r, _ in window]
     ys = [math.log10(f) for _, f in window]
@@ -92,15 +83,3 @@ def compare(fit: FitResult, alphabet: Alphabet) -> ComparisonReport:
     """Fitted slope against the model slope -1/gamma."""
     predicted = -predicted_exponent(alphabet)
     return ComparisonReport(fit.slope, predicted, abs(fit.slope - predicted), fit.rank_window)
-
-
-def rank_freq_from_levels(levels: LevelTable | Sequence[Level]) -> RankFrequency:
-    """One point per level: a one-rank run at rank_lo with the level's probability.
-
-    Using one point per class avoids overweighting wide levels in a fit;
-    expand per rank yourself if you want the step function sampled instead.
-    """
-    seq = tuple(levels)
-    if not seq:
-        raise ValueError("empty level table")
-    return RankFrequency(tuple((lv.rank_lo, lv.rank_lo, math.exp(lv.log_prob)) for lv in seq))

@@ -51,7 +51,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .alphabet import Alphabet
 from .errors import BoundViolationError, ResourceGuardError
-from .gamma import WeightVector, log_weights
+from .gamma import RESIDUAL_TOL, WeightVector, log_weights
 
 TIE_EPS = 1e-9  # absolute tie tolerance for weights, in nats
 DEFAULT_NODE_BUDGET = 10**7
@@ -467,7 +467,7 @@ def verify_bounds(
         raise ValueError("envelope shift 1/(n-1) needs at least 2 letters")
     if not weights.normalized:
         raise ValueError(
-            "weights must be normalized: sum(exp(-L_i)) = 1 within 1e-12, "
+            f"weights must be normalized: sum(exp(-L_i)) = 1 within {RESIDUAL_TOL}, "
             f"defect {weights.normalization_defect}"
         )
     if not x_max > weights.L_max:

@@ -49,14 +49,14 @@ _RUN_SLICE = 8192  # words of one run rendered by one pass of string calls
 
 @dataclass
 class FrequencyTable:
-    """Occurrence counts per word (letter i is the code point i + 1)."""
+    """Occurrence counts per word (letter i is the code point i + 1);
+    total_words is their sum."""
 
     entries: dict[Word, int]
-    total_words: int
 
-    def __post_init__(self):
-        if sum(self.entries.values()) != self.total_words:
-            raise ValueError("entry counts must sum to total_words")
+    @property
+    def total_words(self) -> int:
+        return sum(self.entries.values())
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ def generate_words(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
     counts = _generate_stream(alphabet, word_count, rng, word_cap)
     if skip_empty:
-        word_count -= counts.pop("", 0)
-    return FrequencyTable(counts, word_count)
+        counts.pop("", None)
+    return FrequencyTable(counts)
 
 
 def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
@@ -178,11 +178,9 @@ def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
     return RankFrequency(tuple((hi - k + 1, hi, c / total) for (c, k), hi in zip(spectrum, his)))
 
 
-def word_lines(
-    table: FrequencyTable, labels: Sequence[str], empty_token: str = EMPTY_WORD
-) -> Iterator[str]:
+def word_lines(table: FrequencyTable, labels: Sequence[str]) -> Iterator[str]:
     r"""The table's "word\tcount" lines: most frequent first, ties in
-    letter-index order; the empty word is rendered as empty_token.  The words
+    letter-index order; the empty word is rendered as EMPTY_WORD.  The words
     are ranked now and rendered as the lines are read.
 
     The ranked words fall in runs of equal count c (the spectrum).  Up to
@@ -208,7 +206,7 @@ def word_lines(
         for c, k in spectrum:
             hi, tail = lo + k, f"\t{c}"
             if ranked[lo] == "":
-                yield empty_token + tail
+                yield EMPTY_WORD + tail
                 lo += 1
             for start in range(lo, hi, _RUN_SLICE):
                 text = "\0".join(ranked[start : min(start + _RUN_SLICE, hi)]).translate(to_labels)

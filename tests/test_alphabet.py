@@ -12,14 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zipfmonkey import alphabet as am
-from zipfmonkey import (
-    estimate_from_corpus,
-    generate_words,
-    make_explicit,
-    make_gusein_zade,
-    make_uniform,
-)
-from zipfmonkey.simulate import word_lines
+from zipfmonkey import estimate_from_corpus, make_explicit, make_gusein_zade, make_uniform
 
 
 class TestMakeUniform:
@@ -152,42 +145,19 @@ class TestEstimateFromCorpus:
         al = estimate_from_corpus("ab \t\n ab")
         assert al.space_prob == pytest.approx(1 / 5)
 
-    def test_whitespace_run_split_when_not_collapsing(self):
-        al = estimate_from_corpus("ab   ab", collapse_whitespace=False)
-        assert al.space_prob == pytest.approx(3 / 7)
-
     def test_case_folding(self):
         al = estimate_from_corpus("Ab aB")
         assert al.n == 2
 
-    def test_generate_then_estimate_round_trip(self):
-        true = make_explicit((0.45, 0.25, 0.12), 0.18)
-        table = generate_words(true, 150_000, seed=20260808)
-        pieces = []
-        for line in word_lines(table, true.labels, ""):
-            word, _, count = line.rpartition("\t")
-            pieces.extend([word] * int(count))
-        # joining with single spaces reconstructs a character stream of the
-        # model, empty words included as consecutive spaces
-        text = " ".join(pieces)
-        est = estimate_from_corpus(text, collapse_whitespace=False)
-        n_chars = len(text)
-        by_label = dict(zip(est.labels, est.letter_probs))
-        for label, p in zip(true.labels, true.letter_probs):
-            se = math.sqrt(p * (1 - p) / n_chars)
-            assert abs(by_label[label] - p) <= 3 * se
-        se0 = math.sqrt(0.18 * 0.82 / n_chars)
-        assert abs(est.space_prob - 0.18) <= 3 * se0
 
-
-def reference_estimate(text, fold_case=True, collapse_whitespace=True):
+def reference_estimate(text, fold_case=True):
     """estimate_from_corpus as one pass over the characters, the spec it must equal."""
     counts = {}
     spaces = 0
     in_run = False
     for ch in text:
         if ch.isspace():
-            if not collapse_whitespace or not in_run:
+            if not in_run:
                 spaces += 1
             in_run = True
         else:
@@ -226,17 +196,15 @@ class TestEstimateMatchesReference:
     @given(
         text=st.text(CORPUS_CHARS, max_size=60),
         fold_case=st.booleans(),
-        collapse_whitespace=st.booleans(),
     )
-    @example("ab \t\n\u3000 ba\x85", True, True)
-    @example("İßẞ i", True, True)
-    @example("...12", True, True)
-    @example(" \t\x1c", True, False)
-    @example("aaa A", True, True)
-    def test_equals_per_character_count(self, text, fold_case, collapse_whitespace):
-        flags = dict(fold_case=fold_case, collapse_whitespace=collapse_whitespace)
-        expected = _outcome(reference_estimate, text, **flags)
-        assert _outcome(estimate_from_corpus, text, **flags) == expected
+    @example("ab \t\n\u3000 ba\x85", True)
+    @example("İßẞ i", True)
+    @example("...12", True)
+    @example(" \t\x1c", True)
+    @example("aaa A", True)
+    def test_equals_per_character_count(self, text, fold_case):
+        expected = _outcome(reference_estimate, text, fold_case=fold_case)
+        assert _outcome(estimate_from_corpus, text, fold_case=fold_case) == expected
 
 
 ALL_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))

@@ -1,7 +1,11 @@
 """The package's public names and each command's options: a change to them is deliberate."""
 
 import argparse
+import dataclasses
 import importlib.util
+import inspect
+import re
+from pathlib import Path
 
 import zipfmonkey
 from zipfmonkey.cli import build_parser
@@ -34,13 +38,47 @@ PUBLIC_NAMES = [
     "predicted_exponent",
     "q_tilde_direct",
     "q_tilde_recursive",
-    "rank_freq_from_levels",
     "rank_of_probability",
     "rescale_weights",
     "solve_gamma",
     "verify_bounds",
     "weight_events",
 ]
+
+# each public callable's parameters, or a record type's fields: a new library
+# knob is as deliberate as a new option (the two errors take a message)
+PARAMETERS = {
+    "Alphabet": ["letter_probs", "space_prob", "labels"],
+    "BoundCertificate": ["c1", "c2", "base_interval_end", "verified_up_to", "event_count"],
+    "ComparisonReport": ["fitted_slope", "predicted_slope", "abs_gap", "rank_window"],
+    "FitResult": ["intercept", "slope", "r_squared", "n_points", "rank_window"],
+    "FrequencyTable": ["entries"],
+    "GammaSolution": ["gamma", "residual", "iterations"],
+    "Level": ["weight", "word_count", "rank_lo", "rank_hi", "log_prob"],
+    "LevelTable": ["levels", "truncated"],
+    "RankFrequency": ["runs"],
+    "WeightVector": ["weights"],
+    "compare": ["fit", "alphabet"],
+    "empirical_rank_freq": ["table"],
+    "enumerate_levels": ["alphabet", "max_rank", "max_weight", "node_budget"],
+    "estimate_from_corpus": ["text", "fold_case"],
+    "functional_equation_residual": ["weights", "x", "node_budget"],
+    "generate_words": ["alphabet", "word_count", "seed", "skip_empty", "word_cap"],
+    "log_weights": ["alphabet"],
+    "make_explicit": ["probs", "p0", "labels"],
+    "make_gusein_zade": ["n", "p0"],
+    "make_uniform": ["n", "p0"],
+    "ols_loglog": ["points", "r_min", "r_max"],
+    "p_of_rank": ["levels", "r"],
+    "predicted_exponent": ["alphabet"],
+    "q_tilde_direct": ["weights", "x", "node_budget"],
+    "q_tilde_recursive": ["weights", "x", "node_budget"],
+    "rank_of_probability": ["alphabet", "f", "node_budget"],
+    "rescale_weights": ["alphabet", "gamma"],
+    "solve_gamma": ["alphabet"],
+    "verify_bounds": ["weights", "x_max", "node_budget"],
+    "weight_events": ["weights", "x_max", "node_budget"],
+}
 
 
 # each subcommand's options: a new knob is a deliberate, reviewed change
@@ -65,6 +103,21 @@ def test_public_names_are_pinned():
     assert sorted(zipfmonkey.__all__) == PUBLIC_NAMES
 
 
+def test_parameters_are_pinned():
+    def parameters(obj):
+        if dataclasses.is_dataclass(obj):
+            return [field.name for field in dataclasses.fields(obj)]
+        return list(inspect.signature(obj).parameters)
+
+    public = {name: getattr(zipfmonkey, name) for name in zipfmonkey.__all__}
+    got = {
+        name: parameters(obj)
+        for name, obj in public.items()
+        if not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert got == PARAMETERS
+
+
 def test_command_options_are_pinned():
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -78,6 +131,17 @@ def test_command_options_are_pinned():
 def test_every_public_name_resolves():
     for name in zipfmonkey.__all__:
         assert getattr(zipfmonkey, name) is not None, name
+
+
+def test_readme_library_quick_start_runs():
+    # the fenced Python block under "Library quick start", run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    gamma = names["sol"].gamma
+    assert (f"{gamma:.4f}", f"{1.0 / gamma:.4f}") == ("0.8735", "1.1448")  # as its comment says
 
 
 def test_brute_force_oracle_is_not_in_the_package():

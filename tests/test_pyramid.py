@@ -34,7 +34,7 @@ from zipfmonkey import (
     weight_events,
 )
 from zipfmonkey.errors import BoundViolationError, ResourceGuardError
-from zipfmonkey.gamma import WeightVector
+from zipfmonkey.gamma import RESIDUAL_TOL, WeightVector
 from zipfmonkey.pyramid import (
     DEFAULT_NODE_BUDGET,
     TIE_EPS,
@@ -843,8 +843,10 @@ class TestVerifyBounds:
             verify_bounds(wv, LN2)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match="normalized") as refused:
             verify_bounds(log_weights(make_uniform(2, 0.2)), 10.0)
+        # the message names the tolerance the check applies
+        assert f"= 1 within {RESIDUAL_TOL}, defect" in str(refused.value)
 
     def test_rejects_single_letter(self):
         with pytest.raises(ValueError, match="at least 2"):

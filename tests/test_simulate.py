@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_rank_runs
 from zipfmonkey import (
     FrequencyTable,
     RankFrequency,
@@ -69,6 +70,22 @@ class TestGenerateWords:
         freq = skewed_table.entries.get("\x01\x02", 0) / N_WORDS
         se = math.sqrt(expected * (1 - expected) / N_WORDS)
         assert abs(freq - expected) <= 4 * se
+
+    def test_letter_shares(self):
+        # the character stream the table stands for: each word's letters, then
+        # one space; letter i is the code point i + 1
+        true = make_explicit((0.45, 0.25, 0.12), 0.18)
+        table = generate_words(true, 150_000, seed=20260808)
+        letters = [
+            sum(c * word.count(chr(i + 1)) for word, c in table.entries.items())
+            for i in range(true.n)
+        ]
+        n_chars = sum(letters) + table.total_words
+        for count, p in zip(letters, true.letter_probs):
+            se = math.sqrt(p * (1 - p) / n_chars)
+            assert abs(count / n_chars - p) <= 3 * se
+        se0 = math.sqrt(0.18 * 0.82 / n_chars)
+        assert abs(table.total_words / n_chars - 0.18) <= 3 * se0
 
     def test_skip_empty(self):
         al = make_uniform(2, 0.5)
@@ -199,7 +216,7 @@ class TestCounting:
         for i, child in enumerate(np.random.SeedSequence(7).spawn(n)):
             rng = np.random.Generator(np.random.PCG64(child))
             counts.update(_generate_stream(al, base + (i < extra), rng, simulate.DEFAULT_WORD_CAP))
-        table = FrequencyTable(counts, 20000)
+        table = FrequencyTable(counts)
         rows = "".join(line + "\n" for line in word_lines(table, al.labels))
 
         def head(tail):
@@ -263,14 +280,14 @@ class TestCounting:
 
 class TestWordRows:
     def test_order_and_labels(self):
-        table = FrequencyTable({"\x02": 2, "\x01\x02": 2, "": 1, "\x01": 2, "\x03": 3}, 10)
-        lines = list(word_lines(table, ("zy", "x", "w"), "<E>"))
+        table = FrequencyTable({"\x02": 2, "\x01\x02": 2, "": 1, "\x01": 2, "\x03": 3})
+        lines = list(word_lines(table, ("zy", "x", "w")))
         # most frequent first; ties in letter-index order (a prefix first),
         # not in the order of the rendered labels
-        assert lines == ["w\t3", "zy\t2", "zyx\t2", "x\t2", "<E>\t1"]
+        assert lines == ["w\t3", "zy\t2", "zyx\t2", "x\t2", "<EPS>\t1"]
 
     def test_default_empty_token(self):
-        assert list(word_lines(FrequencyTable({"": 4}, 4), ("a", "b"))) == ["<EPS>\t4"]
+        assert list(word_lines(FrequencyTable({"": 4}), ("a", "b"))) == ["<EPS>\t4"]
 
     @pytest.mark.parametrize("run_slice", [1, 3, simulate._RUN_SLICE])
     @pytest.mark.parametrize("empty", ["alone", "shared", "absent"])
@@ -294,7 +311,7 @@ class TestWordRows:
         elif empty == "shared":
             entries[""] = 1
             assert list(entries.values()).count(1) > 1
-        table = FrequencyTable(entries, sum(entries.values()))
+        table = FrequencyTable(entries)
         monkeypatch.setattr(simulate, "_RUN_SLICE", run_slice)
 
         to_labels = dict(enumerate(alphabet.labels, 1))
@@ -305,29 +322,23 @@ class TestWordRows:
         assert list(word_lines(table, alphabet.labels)) == reference
 
 
-class TestFrequencyTable:
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            FrequencyTable({"\x01": 2}, 3)
-
-
 class TestEmpiricalRankFreq:
     def test_single_word(self):
-        rf = empirical_rank_freq(FrequencyTable({"\x01": 5}, 5))
+        rf = empirical_rank_freq(FrequencyTable({"\x01": 5}))
         assert tuple(rf) == ((1, 1.0),)
 
     def test_two_words(self):
-        rf = empirical_rank_freq(FrequencyTable({"\x01": 3, "\x02": 1}, 4))
+        rf = empirical_rank_freq(FrequencyTable({"\x01": 3, "\x02": 1}))
         assert tuple(rf) == ((1, 0.75), (2, 0.25))
 
     def test_tie_break_lexicographic(self):
-        rf = empirical_rank_freq(FrequencyTable({"\x02": 2, "\x01": 2, "": 2}, 6))
+        rf = empirical_rank_freq(FrequencyTable({"\x02": 2, "\x01": 2, "": 2}))
         assert [f for _r, f in rf] == [pytest.approx(1 / 3)] * 3
         # ranks follow word order: "", "\x01", "\x02"
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            empirical_rank_freq(FrequencyTable({}, 0))
+            empirical_rank_freq(FrequencyTable({}))
 
     def test_bare_counts(self):
         # any iterable of counts, one per distinct word, in any order
@@ -431,13 +442,14 @@ class TestRunsMatchPerWordPoints:
         points = list(rf)
         assert tuple(points) == per_word_points(counts)
         assert len(rf.runs) == len(set(counts))
-        assert fit_or_error(rf) == fit_or_error(points)  # the default window
+        assert fit_or_error(rf) == fit_or_error(one_rank_runs(points))  # the default window
         for lo, hi in windows:
-            assert fit_or_error(rf, lo, hi) == fit_or_error(points, lo, hi)
+            assert fit_or_error(rf, lo, hi) == fit_or_error(one_rank_runs(points), lo, hi)
 
     def test_simulated_table(self, skewed_table):
         counts = list(skewed_table.entries.values())
         rf = empirical_rank_freq(skewed_table)
         assert tuple(rf) == per_word_points(counts)
         assert len(rf.runs) == len(set(counts)) < len(counts) // 10
-        assert ols_loglog(rf, 10, 300) == ols_loglog(per_word_points(counts), 10, 300)
+        per_word = one_rank_runs(per_word_points(counts))
+        assert ols_loglog(rf, 10, 300) == ols_loglog(per_word, 10, 300)

@@ -11,12 +11,9 @@ downstream identities can rely on the sum being 1 to machine precision.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
-import string
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from typing import Iterable
 
@@ -36,13 +33,12 @@ def _check_size(n: int, p0: float) -> None:
 def default_labels(n: int) -> tuple[str, ...]:
     """Generate n short letter labels in lexicographic-by-index order."""
     if n <= 26:
-        return tuple(string.ascii_lowercase[:n])
+        return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     width = len(str(n - 1))
     return tuple(f"l{i:0{width}d}" for i in range(n))
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(namedtuple("Alphabet", "letter_probs space_prob labels")):
     """Canonical letter model: probabilities nonincreasing, exactly normalized.
 
     letter_probs -- letter probabilities, each in (0, 1), sorted nonincreasing
@@ -50,31 +46,26 @@ class Alphabet:
     labels       -- display names, parallel to letter_probs
     """
 
-    letter_probs: tuple[float, ...]
-    space_prob: float
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.letter_probs)
-        object.__setattr__(self, "letter_probs", probs)
-        _check_size(len(probs), self.space_prob)
+    def __new__(cls, letter_probs, space_prob, labels=None):
+        probs = tuple(float(p) for p in letter_probs)
+        _check_size(len(probs), space_prob)
         for p in probs:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"letter probability out of (0, 1): {p}")
         for a, b in zip(probs, probs[1:]):
             if a < b:
                 raise ValueError("letter probabilities must be nonincreasing")
-        deficit = math.fsum(probs) + self.space_prob - 1.0
+        deficit = math.fsum(probs) + space_prob - 1.0
         if abs(deficit) > NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {1.0 + deficit}, off by {deficit}")
-        if self.labels is None:
-            object.__setattr__(self, "labels", default_labels(len(probs)))
-        else:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != len(probs):
-                raise ValueError("labels must parallel letter_probs")
-            if len(set(self.labels)) != len(self.labels):
-                raise ValueError("labels must be distinct")
+        labels = default_labels(len(probs)) if labels is None else tuple(labels)
+        if len(labels) != len(probs):
+            raise ValueError("labels must parallel letter_probs")
+        if len(set(labels)) != len(labels):
+            raise ValueError("labels must be distinct")
+        return super().__new__(cls, probs, space_prob, labels)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @cached_property
     def log_weights(self):
@@ -241,6 +232,7 @@ def from_text(text: str) -> Alphabet:
 
 
 def to_json(alphabet: Alphabet) -> str:
+    import json  # not at the top: only JSON alphabets need it
     doc = {
         "format": "v1 alphabet",
         "space": alphabet.space_prob,
@@ -250,6 +242,7 @@ def to_json(alphabet: Alphabet) -> str:
 
 
 def from_json(text: str) -> Alphabet:
+    import json
     try:
         doc = json.loads(text)
         letters = doc["letters"]

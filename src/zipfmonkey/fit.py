@@ -10,7 +10,7 @@ cost follows the window and the number of runs, not the number of words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .alphabet import Alphabet
 from .gamma import solve_gamma
@@ -20,8 +20,7 @@ DEFAULT_R_MIN = 10
 DEFAULT_R_MAX_CAP = 10**4
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     intercept: float  # lg f at rank 1
     slope: float
     r_squared: float
@@ -29,8 +28,7 @@ class FitResult:
     rank_window: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     fitted_slope: float
     predicted_slope: float  # -1/gamma
     abs_gap: float

@@ -12,8 +12,8 @@ the word-counting function grows like exp(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .alphabet import Alphabet
 
@@ -21,8 +21,7 @@ RESIDUAL_TOL = 1e-12
 BRACKET_TOL = 1e-14  # bisection stops once the bracket is this narrow: 47 halvings
 
 
-@dataclass(frozen=True)
-class GammaSolution:
+class GammaSolution(NamedTuple):
     """Root of the exponent equation plus an audit trail."""
 
     gamma: float
@@ -30,20 +29,19 @@ class GammaSolution:
     iterations: int
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple("WeightVector", [("weights", tuple)])):
     """Positive log-weights; the lattice geometry of the word list."""
 
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
+    def __new__(cls, weights):
+        weights = tuple(float(w) for w in weights)
         if not weights:
             raise ValueError("weight vector must be nonempty")
         for w in weights:
             if not w > 0.0:
                 raise ValueError(f"weights must be positive, got {w}")
+        return super().__new__(cls, weights)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @cached_property
     def grid(self):

@@ -45,7 +45,6 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
@@ -57,8 +56,7 @@ TIE_EPS = 1e-9  # absolute tie tolerance for weights, in nats
 DEFAULT_NODE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """One probability class of words and its (inclusive) rank span."""
 
     weight: float
@@ -68,7 +66,6 @@ class Level:
     log_prob: float
 
 
-@dataclass(frozen=True)
 class LevelTable:
     """Levels in strictly increasing weight order, plus a truncation flag.
 
@@ -76,8 +73,22 @@ class LevelTable:
     level is dropped and the returned prefix is certified complete.
     """
 
-    levels: tuple[Level, ...]
-    truncated: bool
+    def __init__(self, levels: tuple[Level, ...], truncated: bool):
+        self.__dict__.update(levels=levels, truncated=truncated)
+
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):  # the instance dict holds the fields and nothing else
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.levels, self.truncated))
+
+    def __repr__(self):
+        return f"LevelTable(levels={self.levels!r}, truncated={self.truncated!r})"
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -93,8 +104,7 @@ class LevelTable:
         return self.levels[-1].rank_hi if self.levels else 0
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Witness constants for the exponential envelope of the counting function.
 
     c1 < (Q(x) + 1/(n-1)) * exp(-x) < c2 was verified on every event

@@ -32,9 +32,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .alphabet import EMPTY_WORD, Alphabet
 from .errors import ResourceGuardError
@@ -47,8 +46,7 @@ _BLOCK_CODES = 1 << 18  # code points (letters and separators) drawn and counted
 _RUN_SLICE = 8192  # words of one run rendered by one pass of string calls
 
 
-@dataclass
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     """Occurrence counts per word (letter i is the code point i + 1);
     total_words is their sum."""
 
@@ -59,17 +57,14 @@ class FrequencyTable:
         return sum(self.entries.values())
 
 
-@dataclass(frozen=True)
 class RankFrequency:
     """Runs (rank_lo, rank_hi, freq) of ranks >= 1, each rank of a run at the
     relative frequency freq.  Runs ascend in rank without overlap (gaps
     allowed), freqs nonincreasing.  Iterating yields the (rank, freq) points."""
 
-    runs: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        runs = []
-        for lo, hi, f in self.runs:
+    def __init__(self, runs: tuple[tuple[int, int, float], ...]):
+        checked: list[tuple[int, int, float]] = []
+        for lo, hi, f in runs:
             lo, hi, f = int(lo), int(hi), float(f)
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"frequency out of (0, 1]: {f}")
@@ -77,12 +72,26 @@ class RankFrequency:
                 raise ValueError(f"ranks start at 1, got rank {lo}")
             if hi < lo:
                 raise ValueError(f"empty run: rank_hi {hi} < rank_lo {lo}")
-            if runs and lo <= runs[-1][1]:
+            if checked and lo <= checked[-1][1]:
                 raise ValueError("runs must ascend in rank without overlap")
-            if runs and f > runs[-1][2]:
+            if checked and f > checked[-1][2]:
                 raise ValueError("frequencies must be nonincreasing")
-            runs.append((lo, hi, f))
-        object.__setattr__(self, "runs", tuple(runs))
+            checked.append((lo, hi, f))
+        self.__dict__["runs"] = tuple(checked)
+
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.runs == other.runs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.runs)
+
+    def __repr__(self):
+        return f"RankFrequency(runs={self.runs!r})"
 
     def __iter__(self) -> Iterator[tuple[int, float]]:
         return expand_runs(self.runs)
@@ -134,7 +143,7 @@ def generate_words(
     Requires p0 > 0 (a zero space probability never terminates a word).
     Empty words count as occurrences of the empty word unless skip_empty is
     set, in which case they are dropped and the table renormalizes over the
-    remaining words.
+    remaining words; if every word drawn is empty, that is a ValueError.
     """
     if alphabet.space_prob <= 0.0:
         raise ValueError("simulation requires a positive space probability")
@@ -157,6 +166,8 @@ def generate_words(
     counts = _generate_stream(alphabet, word_count, rng, word_cap)
     if skip_empty:
         counts.pop("", None)
+        if not counts:
+            raise ValueError(f"skip_empty dropped all {word_count} words drawn with seed {seed}")
     return FrequencyTable(counts)
 
 

@@ -418,6 +418,14 @@ class TestInvariants:
             build(n, p0)
         assert str(exc.value) == message
 
+    def test_replace_runs_the_checks(self):
+        al = make_uniform(3, 0.25)
+        assert al._replace(space_prob=0.25) == al
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            al._replace(space_prob=0.5)
+        with pytest.raises(ValueError, match="weights must be positive"):
+            al.log_weights._replace(weights=(1.0, -1.0))
+
     def test_direct_constructor_validates(self):
         with pytest.raises(ValueError):
             am.Alphabet((0.3, 0.5), 0.2)  # not sorted

@@ -144,6 +144,13 @@ def test_readme_library_quick_start_runs():
     assert (f"{gamma:.4f}", f"{1.0 / gamma:.4f}") == ("0.8735", "1.1448")  # as its comment says
 
 
+def test_version_matches_pyproject():
+    # a regex, not tomllib: the package supports Python 3.10
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    (version,) = re.findall(r'(?m)^version = "([^"]+)"$', pyproject)
+    assert zipfmonkey.__version__ == version
+
+
 def test_brute_force_oracle_is_not_in_the_package():
     # the oracle is the tests' ground truth (tests/oracle.py); no command uses it
     assert importlib.util.find_spec("zipfmonkey.oracle") is None

@@ -343,6 +343,16 @@ class TestSimulateCommand:
         assert out == ""
         assert "seed must be a nonnegative integer, got -1" in err
 
+    def test_skip_empty_with_no_word_left_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "t.tsv"
+        code, out, err = run(
+            capsys, "simulate", "--uniform", "2", "--p0", "0.99", "--n-words", "3",
+            "--seed", "1", "--skip-empty", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: skip_empty dropped all 3 words drawn with seed 1\n"
+        assert not out_path.exists()
+
     def test_seed_required_with_out(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "simulate", "--uniform", "2", "--p0", "0.4",
@@ -1010,6 +1020,45 @@ class TestNumpyImportedOnlyToDrawWords:
         code = f"from zipfmonkey.cli import main\nassert main({argv!r}) == 0"
         assert loads_numpy(code, workdir) == (argv[0] == "simulate")
         assert (workdir / "out.txt").read_text().startswith("# format: v1 ")
+
+
+def heavy_modules_loaded(code, cwd):
+    """Run code under `python -S` on src/, so no site hook preloads anything;
+    which of the modules a cold start should not need it left loaded."""
+    heavy = ("dataclasses", "inspect", "json", "string", "numpy")
+    probe = f"{code}\nimport sys\nprint(*[m for m in {heavy!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestLightImport:
+    def test_gamma_loads_no_heavy_module(self, workdir):
+        code = (
+            "import zipfmonkey, zipfmonkey.cli\n"
+            "argv = ['gamma', '--gusein-zade', '5', '--p0', '0.18', '--out', 'g.txt']\n"
+            "assert zipfmonkey.cli.main(argv) == 0"
+        )
+        assert heavy_modules_loaded(code, workdir) == []
+        assert (workdir / "g.txt").read_text().startswith("# format: v1 gamma\n")
+
+    def test_json_alphabet_loads_json_alone(self, workdir):
+        code = (
+            "from zipfmonkey.cli import main\n"
+            "assert main(['ingest', '--corpus', 'corpus.txt', '--alphabet-out', 'a.json',"
+            " '--out', 'r.tsv']) == 0\n"
+            "assert main(['gamma', '--alphabet', 'a.json', '--out', 'g.txt']) == 0"
+        )
+        assert heavy_modules_loaded(code, workdir) == ["json"]
+        expected = solve_gamma(am.estimate_from_corpus((workdir / "corpus.txt").read_text()))
+        assert kv((workdir / "g.txt").read_text())["gamma"] == repr(expected.gamma)
 
 
 # NaN, infinities, negatives, zero and a tiny positive: each option draws one

@@ -14,15 +14,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import zipfmonkey
 from conftest import make_random_alphabet
 from oracle import multinomial
+from test_api import PARAMETERS
 from zipfmonkey import (
+    FrequencyTable,
+    compare,
+    empirical_rank_freq,
     enumerate_levels,
     functional_equation_residual,
+    generate_words,
     log_weights,
     make_explicit,
     make_gusein_zade,
     make_uniform,
+    ols_loglog,
     p_of_rank,
     pyramid,
     q_tilde_direct,
@@ -367,17 +374,17 @@ class TestFinerThreshold:
 class TestWeightCache:
     def test_one_weight_vector_and_one_grid_per_alphabet(self, monkeypatch):
         built = Counter()
-        post_init, grid = WeightVector.__post_init__, pyramid._grid
+        new, grid = WeightVector.__new__, pyramid._grid
 
-        def counting_post_init(self):
+        def counting_new(cls, weights):
             built["weight vectors"] += 1
-            post_init(self)
+            return new(cls, weights)
 
         def counting_grid(weights):
             built["grids"] += 1
             return grid(weights)
 
-        monkeypatch.setattr(WeightVector, "__post_init__", counting_post_init)
+        monkeypatch.setattr(WeightVector, "__new__", counting_new)
         monkeypatch.setattr(pyramid, "_grid", counting_grid)
         al = make_uniform(26, 1 / 27)
         ranks = [rank_of_probability(al, f) for f in (1e-3, 1e-5, 1e-7, 1e-5, 1 / 27)]
@@ -390,10 +397,36 @@ class TestWeightCache:
         rank = rank_of_probability(al, 1e-4)
         wv = log_weights(al)
         fresh_wv = WeightVector(wv.weights)
-        for obj, twin in ((al, fresh), (wv, fresh_wv)):
-            assert obj == twin and hash(obj) == hash(twin) and repr(obj) == repr(twin)
+
+        def records(al):
+            """One of each public record type, built from al alone."""
+            sol = solve_gamma(al)
+            table = enumerate_levels(al, max_rank=200)
+            words = generate_words(al, 2000, seed=1)
+            curve = empirical_rank_freq(words)
+            fit = ols_loglog(curve)
+            cert = verify_bounds(rescale_weights(al, sol), 8.0)
+            return [sol, table, table[3], cert, words, curve, fit, compare(fit, al)]
+
+        pairs = [(al, fresh), (wv, fresh_wv), *zip(records(al), records(fresh))]
+        public = {name for name in zipfmonkey.__all__ if name[0].isupper()} - {
+            "BoundViolationError", "ResourceGuardError"}
+        assert {type(obj).__name__ for obj, _twin in pairs} == public
+        for obj, twin in pairs:
+            assert obj is not twin and obj == twin and repr(obj) == repr(twin)
             back = pickle.loads(pickle.dumps(obj))
-            assert back == obj and hash(back) == hash(obj) and repr(back) == repr(obj)
+            assert type(back) is type(obj) and back == obj and repr(back) == repr(obj)
+            if isinstance(obj, FrequencyTable):  # holds a dict, so unhashable as before
+                with pytest.raises(TypeError):
+                    hash(obj)
+            else:
+                assert hash(obj) == hash(twin) == hash(back)
+            field = PARAMETERS[type(obj).__name__][0]
+            with pytest.raises(AttributeError):
+                setattr(obj, field, getattr(twin, field))
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+            assert obj == twin
         assert rank_of_probability(pickle.loads(pickle.dumps(al)), 1e-4) == rank
 
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ characters and splitting on spaces, and it makes "exactly word_count
 words" trivially true.
 
 Generation is vectorized with numpy and driven by PCG64; numpy is imported
-inside the function that draws words, so importing this module (and with
+inside the functions that draw words, so importing this module (and with
 it the package and the CLI) does not load it.  A fixed (alphabet,
 word_count, seed) triple reproduces the same table within one build.
 
@@ -16,10 +16,18 @@ A word is a str from the draw to the output: letter i is the code point
 i + 1, so words sort like their letter-index tuples and the empty word is
 "".  The generator draws all word lengths, then takes them in blocks of
 about 2**18 code points (letters and separators): it draws a block's
-letters, writes them as code points with a 0 between words, decodes them
-and counts the words.  Memory grows with the words, the distinct words
-and one block's letters, not with all the letters; the block size changes
-no count.  The encoding allows at most sys.maxunicode letters.
+letters, writes them through a mask into a zeroed code-point array, which
+leaves a 0 between words, decodes it and counts the words.  Memory grows
+with the words, the distinct words and one block's letters, not with all
+the letters; the block size changes no count.  The encoding allows at most
+sys.maxunicode letters.
+
+Letters are drawn by a guide table (Chen and Asau's indexed search) over
+the doubles Generator.choice(p=...) would draw: a bucket of [0, 1) with no
+cdf step inside it decides its letter by one lookup, and the few draws
+that land in another bucket are searched as choice searches them.  The
+RNG stream and every letter are choice's, so a fixed seed draws the table
+it drew when the simulator called choice (see _letter_sampler).
 
 A rank-frequency curve is held as runs of equal frequency, one per distinct
 count (the frequency spectrum), not as one point per word.  A word table is
@@ -33,7 +41,7 @@ import math
 import sys
 from collections import Counter
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .alphabet import EMPTY_WORD, Alphabet
 from .errors import ResourceGuardError
@@ -43,6 +51,7 @@ Word = str  # letter i is chr(i + 1)
 DEFAULT_WORD_CAP = 10**8
 
 _BLOCK_CODES = 1 << 18  # code points (letters and separators) drawn and counted at a time
+_MIN_BUCKETS, _MAX_BUCKETS = 1 << 10, 1 << 20  # guide table: 4 KiB to 4 MiB
 _RUN_SLICE = 8192  # words of one run rendered by one pass of string calls
 
 
@@ -103,12 +112,55 @@ def expand_runs(runs, r_min=-math.inf, r_max=math.inf) -> Iterator[tuple[int, fl
     return ((r, f) for lo, hi, f in runs for r in range(max(lo, r_min), min(hi, r_max) + 1))
 
 
+def _letter_sampler(probs: np.ndarray) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """draw(rng, size): the code points (letter i as i + 1, "<u4") of the
+    size letters Generator.choice(len(probs), size, p=probs) would draw from
+    rng, read off the same rng.random(size) doubles.
+
+    choice takes cdf = probs.cumsum(), cdf /= cdf[-1], and draws letter
+    cdf.searchsorted(u, "right"), the number of steps cdf[i] <= u.  The
+    guide table (Chen and Asau's indexed search) splits [0, 1) into M
+    buckets, M a power of two, so b = floor(u * M) is exact and b/M <= u <
+    (b+1)/M.  That count is monotone in u, so it lies between
+    lo = searchsorted(cdf, b/M, "right") and searchsorted(cdf, (b+1)/M,
+    "left"); where the two agree (no step inside the bucket) the table
+    holds lo + 1, and u decides nothing more.  Elsewhere it holds 0, and
+    those draws, about n/M of them, are searched as choice searches them.
+    M is the least power of two >= 64 n, within [_MIN_BUCKETS, _MAX_BUCKETS].
+    """
+    import numpy as np
+
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    n_buckets = min(max(1 << (64 * probs.size - 1).bit_length(), _MIN_BUCKETS), _MAX_BUCKETS)
+    edges = np.arange(n_buckets + 1) / n_buckets
+    lo = cdf.searchsorted(edges[:-1], "right")
+    guide = np.where(lo == cdf.searchsorted(edges[1:], "left"), lo + 1, 0).astype("<u4")
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        letters = guide[(u * n_buckets).astype(np.intp)]
+        odd = np.flatnonzero(letters == 0)
+        letters[odd] = cdf.searchsorted(u[odd], "right") + 1
+        return letters
+
+    return draw
+
+
 def _generate_stream(
     alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int
 ) -> Counter[Word]:
     """Draw count words and count them, about _BLOCK_CODES code points at a
     time: a word is 1/p0 code points on average (its letters and a
-    separator), so a block is _BLOCK_CODES * p0 words whatever p0 is."""
+    separator), so a block is _BLOCK_CODES * p0 words whatever p0 is.
+
+    The RNG stream is the one geometric and Generator.choice(p=...) draw:
+    all word lengths, then each block's letters (_letter_sampler reads the
+    doubles choice would read and picks the letters choice would pick).  The
+    letters are written through a mask into a zeroed code-point array: word
+    j's separator, the 0 after its letters, sits at sum(len_k + 1 for k <=
+    j) - 1, and the last word of a block has none.
+    """
     import numpy as np
 
     p0 = alphabet.space_prob
@@ -119,13 +171,16 @@ def _generate_stream(
             f"{n_letters} letters to draw exceed the cap {word_cap}; "
             "raise ZIPFMONKEY_WORD_CAP to allow more"
         )
-    letter_probs = np.asarray(alphabet.letter_probs) / (1.0 - p0)
+    draw_letters = _letter_sampler(np.asarray(alphabet.letter_probs) / (1.0 - p0))
     block_words = max(1, int(_BLOCK_CODES * p0))
     counts: Counter[Word] = Counter()
     for start in range(0, count, block_words):
         block = lengths[start : start + block_words]
-        letters = rng.choice(alphabet.n, size=block.sum(), p=letter_probs)
-        codes = np.insert(letters + 1, np.cumsum(block[:-1]), 0).astype("<u4")
+        letters = draw_letters(rng, block.sum())
+        is_letter = np.ones(letters.size + block.size - 1, bool)
+        is_letter[np.cumsum(block[:-1] + 1) - 1] = False
+        codes = np.zeros(is_letter.size, "<u4")
+        codes[is_letter] = letters
         counts.update(codes.tobytes().decode("utf-32-le", "surrogatepass").split("\0"))
     return counts
 

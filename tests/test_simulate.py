@@ -142,7 +142,7 @@ def _codes_for(words, p0):
 
 
 class _RecordingRng:
-    """A seeded Generator that records how many letters each choice call draws."""
+    """A seeded Generator that records how many letters each random call draws."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -151,9 +151,9 @@ class _RecordingRng:
     def geometric(self, *args, **kwargs):
         return self.rng.geometric(*args, **kwargs)
 
-    def choice(self, a, size=None, **kwargs):
+    def random(self, size=None):
         self.sizes.append(int(size))
-        return self.rng.choice(a, size=size, **kwargs)
+        return self.rng.random(size)
 
 
 class TestCounting:
@@ -259,11 +259,16 @@ class TestCounting:
                 ("--uniform", "60000", "--p0", "0.3", "--n-words", "2000"),
                 "89090994000019bcc0572620bf1a9c44df30bbea5a020f3667fa69089d7aade2",
             ),
+            (
+                ("--uniform", "26", "--p0", "0.037037", "--n-words", "20000"),
+                "8d8abb10c42a961b102f87a54363db54148ec30938b0201e89296b2ab1e0a5be",
+            ),
         ],
-        ids=["u30-three-char-labels", "u60000-surrogate-code-points"],
+        ids=["u30-three-char-labels", "u60000-surrogate-code-points", "u26-long-words"],
     )
     def test_wide_alphabet_rows_pinned(self, capsys, argv, digest):
-        # data rows as printed before words became code-point strings
+        # data rows as printed before words became code-point strings (u30,
+        # u60000) and while letters were drawn by Generator.choice (u26)
         code = main(["simulate", *argv, "--seed", "5"])
         assert code == 0
         out = capsys.readouterr().out
@@ -283,6 +288,111 @@ class TestCounting:
         assert code == 2
         assert str(sys.maxunicode) in err
         assert "Traceback" not in err
+
+
+def _conditional(alphabet):
+    """The letter probabilities the simulator draws from."""
+    return np.asarray(alphabet.letter_probs) / (1.0 - alphabet.space_prob)
+
+
+def _dyadic(k):
+    """Conditional letter probabilities 1/2, 1/4, ..., 2**-k, 2**-k: every cdf
+    step is a multiple of 2**-k, on a bucket edge of every table of at least
+    2**k buckets and inside a bucket of a smaller one."""
+    return make_explicit([2.0 ** -(i + 2) for i in range(k)] + [2.0 ** -(k + 1)], 0.5)
+
+
+class _FixedDoubles:
+    """A stand-in Generator whose random(size) returns the given doubles."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def _hard_doubles(cdf):
+    """Doubles in [0, 1) on and next to every cdf step, and on and next to
+    the bucket edges around each step for every table size from 2**10 to
+    2**20 buckets."""
+    points = [cdf[:-1]]
+    for m in (2.0**k for k in range(10, 21)):
+        b = np.floor(cdf[:-1] * m)
+        points += [b / m, (b + 1) / m]
+    points = np.concatenate(points)
+    u = np.concatenate([points, np.nextafter(points, 0), np.nextafter(points, 1), [0.0]])
+    return np.unique(u[u < 1.0])
+
+
+class TestLetterSampler:
+    """_letter_sampler draws the letters Generator.choice(p=...) draws."""
+
+    def _check(self, probs, seed, size):
+        draw = simulate._letter_sampler(probs)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw(rng, size)
+        assert got.dtype == np.dtype("<u4")
+        np.testing.assert_array_equal(got, ref.choice(probs.size, size=size, p=probs) + 1)
+        assert rng.bit_generator.state == ref.bit_generator.state  # the same doubles consumed
+
+        # choice's rule, cdf.searchsorted(u, "right"), on the doubles where
+        # a bucket edge or a step decides the letter
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        u = _hard_doubles(cdf)
+        np.testing.assert_array_equal(draw(_FixedDoubles(u), u.size), cdf.searchsorted(u, "right") + 1)
+
+    @pytest.mark.parametrize(
+        "alphabet, size",
+        [
+            (_dyadic(4), 20_000),  # steps on the edges of every table
+            (_dyadic(14), 20_000),  # steps 1 - 2**-11 .. 1 - 2**-14 in one of 2**10 buckets
+            (make_gusein_zade(5, 0.18), 20_000),
+            (make_uniform(26, 0.037037), 20_000),
+            (make_gusein_zade(400, 0.2), 100_000),  # tail steps closer than 2**-15
+            (make_uniform(60_000, 0.3), 100_000),
+            (make_gusein_zade(60_000, 0.2), 100_000),  # tail steps closer than 2**-20
+            (make_uniform(2, 0.9), 20_000),
+        ],
+        ids=["dyadic4", "dyadic14", "gz5", "u26", "gz400", "u60000", "gz60000", "u2-p0.9"],
+    )
+    def test_matches_choice_draw_for_draw(self, alphabet, size):
+        self._check(_conditional(alphabet), 11, size)
+
+    @pytest.mark.parametrize(
+        "alphabet, buckets",
+        [(make_gusein_zade(400, 0.2), 2**15), (make_gusein_zade(60_000, 0.2), 2**20)],
+        ids=["gz400", "gz60000"],
+    )
+    def test_several_steps_share_a_bucket(self, alphabet, buckets):
+        # the tables the draw-for-draw cases read: some bucket holds steps of
+        # several letters, so those draws are searched
+        cdf = _conditional(alphabet).cumsum()
+        cdf /= cdf[-1]
+        assert np.bincount(np.floor(cdf[:-1] * buckets).astype(np.intp)).max() >= 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.floats(1e-9, 1.0), st.integers(0, 30).map(lambda k: 2.0**-k)),
+            min_size=1,
+            max_size=300,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_alphabets(self, weights, seed):
+        probs = np.asarray(weights) / math.fsum(weights)
+        self._check(probs, seed, 3000)
+
+    def test_a_block_of_no_letters_draws_nothing(self):
+        # u2 at p0 0.9 gives blocks of empty words (see TestCounting)
+        draw = simulate._letter_sampler(_conditional(make_uniform(2, 0.9)))
+        rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+        got = draw(rng, 0)
+        assert got.dtype == np.dtype("<u4") and got.size == 0
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestWordRows:

@@ -15,7 +15,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Sequence
 
 from . import alphabet as alphabet_mod
@@ -24,7 +24,7 @@ from . import pyramid, simulate
 from .errors import BoundViolationError, ResourceGuardError
 from .gamma import log_weights, rescale_weights, solve_gamma
 
-_WRITE_BLOCK = 8192  # output lines joined per write
+_WRITE_CHARS = 1 << 18  # characters gathered before a write
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,11 +79,19 @@ def _resolve_alphabet(args) -> alphabet_mod.Alphabet:
 
 
 def _write(path: str | None, lines: Iterable[str]) -> None:
-    """Write each line and a newline to the file at path, or to stdout if none."""
-    lines = iter(lines)
+    """Write each item and a newline to the file at path, or to stdout if
+    none.  An item is one line, or several whole lines joined by "\n"."""
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-        # one write per block of lines: a write per line costs more than the join
-        while block := list(islice(lines, _WRITE_BLOCK)):
+        # one write per _WRITE_CHARS or so: a write per item costs more than the
+        # join, and a write of at most _WRITE_CHARS plus one item bounds memory
+        block, size = [], 0
+        for item in lines:
+            block.append(item)
+            size += len(item) + 1
+            if size >= _WRITE_CHARS:
+                fh.write("\n".join(block) + "\n")
+                block, size = [], 0
+        if block:
             fh.write("\n".join(block) + "\n")
 
 
@@ -193,27 +201,37 @@ def _rank_row(row: tuple[str, str]) -> tuple[int, float]:
 
 
 def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
-    """word<TAB>count rows when every second column is an integer, else rank<TAB>freq."""
-    rows = []
+    """word<TAB>count rows when every second column is an integer, else rank<TAB>freq.
+
+    Parsed in bulk: the data lines (stripped, neither blank nor '#'), a line's
+    whitespace columns joined by a tab if it holds none, are joined by tabs
+    and split once."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"expected 2 columns, got {raw!r}")
-            rows.append((parts[0], parts[1]))
+        text = fh.read()
+    # split as file iteration splits (on "\n" after newline translation), not by splitlines
+    rows = [s if "\t" in s else "\t".join(s.split())
+            for s in map(str.strip, text.split("\n")) if s and s[0] != "#"]
+    del text
     if not rows:
         raise ValueError(f"no data rows in {path}")
+    n_rows = len(rows)
+    joined = "\t".join(rows) if all("\t" in s for s in rows) else ""
+    del rows  # not held while the cells are split and the counts ranked
+    cells = joined.split("\t")
+    del joined
+    if len(cells) != 2 * n_rows:  # a row of one column or of three or more
+        with open(path, encoding="utf-8") as fh:  # find it again, to name it
+            for raw in fh:
+                s = raw.strip()
+                if s and s[0] != "#" and len(s.split("\t") if "\t" in s else s.split()) != 2:
+                    raise ValueError(f"expected 2 columns, got {raw!r}")
+        raise ValueError(f"{path} changed while it was read")
+    words, values = cells[0::2], cells[1::2]
     try:
-        counts = {w: int(c) for w, c in rows}  # a repeated word: the last row wins
+        counts = dict(zip(words, map(int, values)))  # a repeated word: the last row wins
     except ValueError:
-        pts = sorted(map(_rank_row, rows))  # one run per rank: gaps allowed
+        pts = sorted(map(_rank_row, zip(words, values)))  # one run per rank: gaps allowed
         return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
-    del rows  # not held while the counts are ranked
     return simulate.empirical_rank_freq(counts.values())
 
 

@@ -14,10 +14,11 @@ word_count, seed) triple reproduces the same table within one build.
 
 A word is a str from the draw to the output: letter i is the code point
 i + 1, so words sort like their letter-index tuples and the empty word is
-"".  The generator draws all word lengths, then takes them in blocks of
-about 2**18 code points (letters and separators): it draws a block's
-letters, writes them through a mask into a zeroed code-point array, which
-leaves a 0 between words, decodes it and counts the words.  Memory grows
+"".  The generator draws all word lengths and counts the empty words among
+them at once.  It takes the others in blocks of about 2**18 code points
+(letters and separators): it draws a block's letters, writes them through
+a mask into a zeroed code-point array, which leaves a 0 between words,
+decodes it and counts the words.  Memory grows
 with the words, the distinct words and one block's letters, not with all
 the letters; the block size changes no count.  The encoding allows at most
 sys.maxunicode letters.
@@ -31,15 +32,17 @@ it drew when the simulator called choice (see _letter_sampler).
 
 A rank-frequency curve is held as runs of equal frequency, one per distinct
 count (the frequency spectrum), not as one point per word.  A word table is
-rendered run by run: word_lines renders a slice of a run with one join,
-translate, replace and split, exact while no label holds a newline.
+ranked by putting the words in buckets by count and sorting each bucket,
+and is rendered run by run: word_lines renders a slice of a run as one
+multi-line piece by one join, translate and replace, exact while no label
+holds a newline.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -112,6 +115,21 @@ def expand_runs(runs, r_min=-math.inf, r_max=math.inf) -> Iterator[tuple[int, fl
     return ((r, f) for lo, hi, f in runs for r in range(max(lo, r_min), min(hi, r_max) + 1))
 
 
+def _guide_table(cdf: np.ndarray, n_buckets: int) -> np.ndarray:
+    """_letter_sampler's table ("<u4"): bucket b of M = n_buckets holds lo + 1,
+    lo the number of steps cdf[i] <= b/M, or 0 if a step lies inside
+    (b/M, (b+1)/M).  cdf * M is exact (M a power of two), so lo counts the
+    steps with ceil(cdf[i] * M) <= b (one bincount), and a step off the
+    edges lies inside bucket ceil(cdf[i] * M) - 1."""
+    import numpy as np
+
+    scaled = cdf * n_buckets
+    steps = np.ceil(scaled).astype(np.intp)
+    guide = (np.bincount(steps, minlength=n_buckets + 1)[:n_buckets].cumsum() + 1).astype("<u4")
+    guide[steps[scaled != steps] - 1] = 0
+    return guide
+
+
 def _letter_sampler(probs: np.ndarray) -> Callable[[np.random.Generator, int], np.ndarray]:
     """draw(rng, size): the code points (letter i as i + 1, "<u4") of the
     size letters Generator.choice(len(probs), size, p=probs) would draw from
@@ -121,21 +139,18 @@ def _letter_sampler(probs: np.ndarray) -> Callable[[np.random.Generator, int], n
     cdf.searchsorted(u, "right"), the number of steps cdf[i] <= u.  The
     guide table (Chen and Asau's indexed search) splits [0, 1) into M
     buckets, M a power of two, so b = floor(u * M) is exact and b/M <= u <
-    (b+1)/M.  That count is monotone in u, so it lies between
-    lo = searchsorted(cdf, b/M, "right") and searchsorted(cdf, (b+1)/M,
-    "left"); where the two agree (no step inside the bucket) the table
-    holds lo + 1, and u decides nothing more.  Elsewhere it holds 0, and
-    those draws, about n/M of them, are searched as choice searches them.
-    M is the least power of two >= 64 n, within [_MIN_BUCKETS, _MAX_BUCKETS].
+    (b+1)/M.  That count is monotone in u, so while no step lies inside the
+    bucket it is the count at b/M, and the table holds that letter (see
+    _guide_table); u decides nothing more.  Elsewhere it holds 0, and those
+    draws, about n/M of them, are searched as choice searches them.  M is
+    the least power of two >= 64 n, within [_MIN_BUCKETS, _MAX_BUCKETS].
     """
     import numpy as np
 
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     n_buckets = min(max(1 << (64 * probs.size - 1).bit_length(), _MIN_BUCKETS), _MAX_BUCKETS)
-    edges = np.arange(n_buckets + 1) / n_buckets
-    lo = cdf.searchsorted(edges[:-1], "right")
-    guide = np.where(lo == cdf.searchsorted(edges[1:], "left"), lo + 1, 0).astype("<u4")
+    guide = _guide_table(cdf, n_buckets)
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
@@ -157,15 +172,18 @@ def _generate_stream(
     The RNG stream is the one geometric and Generator.choice(p=...) draw:
     all word lengths, then each block's letters (_letter_sampler reads the
     doubles choice would read and picks the letters choice would pick).  The
-    letters are written through a mask into a zeroed code-point array: word
-    j's separator, the 0 after its letters, sits at sum(len_k + 1 for k <=
-    j) - 1, and the last word of a block has none.
+    empty words, which draw no letters, are counted once from the lengths
+    and left out of the blocks.  A block's letters are written through a
+    mask into a zeroed code-point array: word j's separator, the 0 after its
+    letters, sits at sum(len_k + 1 for k <= j) - 1, and the last word of a
+    block has none.
     """
     import numpy as np
 
     p0 = alphabet.space_prob
     lengths = rng.geometric(p0, size=count) - 1  # letters before the space
-    n_letters = int(lengths.sum(dtype=object))  # Python ints: no overflow for a tiny p0
+    wide = count * int(lengths.max()) >= 1 << 63  # an int64 sum could wrap (a tiny p0)
+    n_letters = int(lengths.sum(dtype=object if wide else np.int64))
     if n_letters > word_cap:
         raise ResourceGuardError(
             f"{n_letters} letters to draw exceed the cap {word_cap}; "
@@ -173,9 +191,13 @@ def _generate_stream(
         )
     draw_letters = _letter_sampler(np.asarray(alphabet.letter_probs) / (1.0 - p0))
     block_words = max(1, int(_BLOCK_CODES * p0))
-    counts: Counter[Word] = Counter()
+    n_empty = count - int(np.count_nonzero(lengths))
+    counts: Counter[Word] = Counter({"": n_empty} if n_empty else ())
     for start in range(0, count, block_words):
         block = lengths[start : start + block_words]
+        block = block[block > 0]  # empty words draw no letters and are counted above
+        if not block.size:
+            continue
         letters = draw_letters(rng, block.sum())
         is_letter = np.ones(letters.size + block.size - 1, bool)
         is_letter[np.cumsum(block[:-1] + 1) - 1] = False
@@ -246,37 +268,36 @@ def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
 
 def word_lines(table: FrequencyTable, labels: Sequence[str]) -> Iterator[str]:
     r"""The table's "word\tcount" lines: most frequent first, ties in
-    letter-index order; the empty word is rendered as EMPTY_WORD.  The words
-    are ranked now and rendered as the lines are read.
+    letter-index order; the empty word is rendered as EMPTY_WORD.  Each item
+    is one or more whole lines of one run (the words of one count), joined
+    by "\n".  The words are put in buckets by count now; each bucket is
+    sorted and rendered as the items are read.
 
-    The ranked words fall in runs of equal count c (the spectrum).  Up to
-    _RUN_SLICE words of a run at a time are joined with "\0", translated
-    (code point i + 1 to labels[i], 0 to "\n"), given their count by
-    .replace("\n", "\t{c}\n") and split on "\n".  Words hold no code point
-    0, and letters 9 and 10 (the code points of "\t" and "\n") are
+    Up to _RUN_SLICE words of a run at a time are joined with "\0",
+    translated (code point i + 1 to labels[i], 0 to "\n") and given their
+    count by .replace("\n", "\t{c}\n"): one item.  Words hold no code
+    point 0, and letters 9 and 10 (the code points of "\t" and "\n") are
     translated before any "\n" is read as a separator, so the lines are
     exact whenever no label holds "\n".  0 maps to one ASCII character, not
     to "\t{c}\n", so that ASCII words under one-character ASCII labels keep
-    the ASCII fast path of str.translate.  The empty word, first in its run,
-    is rendered on its own.
+    the ASCII fast path of str.translate.  The empty word, first in its
+    run, is an item of its own.
     """
-    entries = table.entries
-    ranked = sorted(entries)
-    ranked.sort(key=entries.__getitem__, reverse=True)  # stable: ties keep word order
-    spectrum = sorted(Counter(entries.values()).items(), reverse=True)  # (count, words)
+    buckets: defaultdict[int, list[Word]] = defaultdict(list)
+    for word, c in table.entries.items():
+        buckets[c].append(word)
     to_labels = dict(enumerate(labels, 1))
     to_labels[0] = "\n"
 
     def lines() -> Iterator[str]:
-        lo = 0
-        for c, k in spectrum:
-            hi, tail = lo + k, f"\t{c}"
-            if ranked[lo] == "":
+        for c in sorted(buckets, reverse=True):
+            words, tail = buckets.pop(c), f"\t{c}"
+            words.sort()
+            lo = 1 if words[0] == "" else 0
+            if lo:
                 yield EMPTY_WORD + tail
-                lo += 1
-            for start in range(lo, hi, _RUN_SLICE):
-                text = "\0".join(ranked[start : min(start + _RUN_SLICE, hi)]).translate(to_labels)
-                yield from (text.replace("\n", tail + "\n") + tail).split("\n")
-            lo = hi
+            for start in range(lo, len(words), _RUN_SLICE):
+                text = "\0".join(words[start : start + _RUN_SLICE]).translate(to_labels)
+                yield text.replace("\n", tail + "\n") + tail
 
     return lines()

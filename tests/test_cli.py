@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zipfmonkey import alphabet as am
@@ -529,6 +529,129 @@ class TestFitAndCompare:
         assert "positive" in err
 
 
+def reference_rank_freq(path):
+    """The per-row reader the bulk reader replaced, kept as its reference."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) == 1:
+                parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"expected 2 columns, got {raw!r}")
+            rows.append((parts[0], parts[1]))
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+    try:
+        counts = {w: int(c) for w, c in rows}
+    except ValueError:
+        pts = sorted(map(cli_mod._rank_row, rows))
+        return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
+    return simulate.empirical_rank_freq(counts.values())
+
+
+def read_outcome(reader, path):
+    """The curve, or the exit code main gives the error and its message."""
+    try:
+        return reader(path)
+    except (ValueError, ArithmeticError) as exc:  # main's exit 2
+        return 2, str(exc)
+
+
+_WS = "\x0b\x0c\x85\u2028 "  # whitespace to str.strip and str.split, not to file iteration
+_WORD = st.text("ab7", min_size=1, max_size=3)  # numeric words among them
+_CELL = st.builds(str.__add__, _WORD, st.text("ab7" + _WS, max_size=3))  # of a tab row
+_COUNT = st.one_of(st.integers(1, 40).map(str), st.sampled_from(["+3", " 4", "1_0"]))
+_VALUE = st.one_of(_COUNT, st.integers(-1, 0).map(str), st.floats(1e-4, 1.0).map(repr),
+                   st.just("x"))
+_EDGE = st.sampled_from(["", "", " ", "\t", "\x0c", "\u2028"])  # around a row
+
+
+@st.composite
+def rows_file(draw):
+    """A table of word rows, of rank rows, or of both mixed with rows of 1,
+    3 or more columns and values of neither kind; with comments and blank
+    lines, ended by \\n, \\r\\n or a lone \\r."""
+    mode = draw(st.sampled_from(["words", "ranks", "mixed"]))
+    kinds = {"words": ["row"] * 4, "ranks": ["rank"] * 4, "mixed": ["row", "rank", "one", "three"]}
+    lines = []
+    for k in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds[mode] + ["comment", "blank"]))
+        if kind == "row":
+            value = draw(_VALUE if mode == "mixed" else _COUNT)
+            if draw(st.booleans()):
+                line = draw(_CELL) + "\t" + value
+            else:
+                line = draw(_WORD) + draw(st.sampled_from([" ", "  ", "\x0b", "\x85"])) + value
+        elif kind == "rank":
+            line = str(k + 1) + draw(st.sampled_from(["\t", " "])) + repr(1.0 / (k + 1))
+        elif kind == "comment":
+            line = "#" + draw(_CELL) + "\t" + draw(_VALUE)
+        elif kind == "blank":
+            line = draw(st.text(_WS + "\t", max_size=3))
+        elif kind == "one":
+            line = draw(_CELL)
+        else:
+            sep = draw(st.sampled_from(["\t", "\t\t", " "]))
+            line = draw(_WORD) + sep + draw(_WORD) + sep + draw(_VALUE)
+        lines.append(draw(_EDGE) + line + draw(_EDGE))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestBulkReader:
+    """_rank_freq_from_file parses the table in bulk as the per-row reader did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=rows_file())
+    @example(text="w\t3\r\nv 2\rz\t3\t\n# c\r\n\n")
+    @example(text="a\x85b\t2\nc\x0bd\t1\n")  # one row each: not line ends to a file
+    @example(text="w\t3\nv\t1\nw\t1\n")  # the last row of w wins
+    @example(text="1\t0.5\n2\t0.25\n3 0.125\n")
+    @example(text="w\t3\nv\t2\t\tx\r")  # a bad last line with no newline
+    @example(text="w\t3\nv\nu\t1\t2\n")  # 1 and 3 columns: as many cells as 2 and 2
+    @example(text="w\t3\nv 1 2\n")
+    @example(text="# only comments\n\n \t\n")
+    def test_equals_per_row_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "bulk-reader.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = read_outcome(reference_rank_freq, path)
+        assert read_outcome(cli_mod._rank_freq_from_file, path) == expected
+
+
+class _RecordingStdout:
+    """A stand-in stdout that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+class TestWriteBlocks:
+    @pytest.mark.parametrize("kind", ["pieces", "lines"])
+    def test_a_write_holds_the_bound_and_one_item(self, monkeypatch, kind):
+        if kind == "pieces":  # up to _RUN_SLICE lines each, as simulate writes them
+            table = simulate.FrequencyTable(
+                {chr(65 + i % 26) * 12 + str(i): 1 + i % 3 for i in range(60_000)}
+            )
+            items = list(simulate.word_lines(table, [chr(97 + i) for i in range(128)]))
+        else:
+            items = [f"{i}\t{1.0 / (i + 1)!r}" for i in range(100_000)]
+        out = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli_mod._write(None, iter(items))
+        assert "".join(out.writes) == "".join(item + "\n" for item in items)
+        longest = max(len(item) + 1 for item in items)
+        assert len(out.writes) > 2
+        assert max(map(len, out.writes)) <= cli_mod._WRITE_CHARS + longest
+
+
 class TestIngest:
     def test_corpus_to_rank_freq_and_alphabet(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -749,6 +872,17 @@ class TestExitCodes:
         assert code == 2
         assert variable in err
         assert "Traceback" not in err
+
+    def test_word_cap_counts_letters_past_int64(self, capsys):
+        # at p0 = 1e-300 the word lengths hit numpy's geometric ceiling
+        # 2**63 - 1: 1000 of them sum far past 2**63
+        code, out, err = run(
+            capsys, "simulate", "--uniform", "2", "--p0", "1e-300",
+            "--n-words", "1000", "--seed", "1",
+        )
+        assert (code, out) == (3, "")
+        assert "9223372036854775806000 letters" in err
+        assert "ZIPFMONKEY_WORD_CAP" in err
 
     def test_word_cap_bounds_letters(self, capsys, monkeypatch):
         # 1000 words at p0 = 1e-6 need about 10**9 letters

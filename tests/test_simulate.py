@@ -395,16 +395,67 @@ class TestLetterSampler:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def _two_search_table(cdf, n_buckets):
+    """The guide table as two searchsorted calls over the bucket edges built
+    it: lo + 1 where no step lies inside the bucket, else 0."""
+    edges = np.arange(n_buckets + 1) / n_buckets
+    lo = cdf.searchsorted(edges[:-1], "right")
+    return np.where(lo == cdf.searchsorted(edges[1:], "left"), lo + 1, 0).astype("<u4")
+
+
+class TestGuideTable:
+    """_guide_table, one bincount, builds the two-search table."""
+
+    def _check(self, probs, n_buckets):
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        got = simulate._guide_table(cdf, n_buckets)
+        assert got.dtype == np.dtype("<u4")
+        np.testing.assert_array_equal(got, _two_search_table(cdf, n_buckets))
+
+    @pytest.mark.parametrize("n_buckets", [2**10, 2**15, 2**20])
+    @pytest.mark.parametrize(
+        "alphabet",
+        [
+            _dyadic(4),
+            _dyadic(14),
+            _dyadic(22),  # steps on edges of 2**20 buckets and inside them
+            make_gusein_zade(5, 0.18),
+            make_uniform(26, 0.037037),
+            make_gusein_zade(400, 0.2),
+            make_uniform(60_000, 0.3),
+            make_gusein_zade(60_000, 0.2),
+        ],
+        ids=["dyadic4", "dyadic14", "dyadic22", "gz5", "u26", "gz400", "u60000", "gz60000"],
+    )
+    def test_equals_two_searches(self, alphabet, n_buckets):
+        self._check(_conditional(alphabet), n_buckets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.integers(0, 30).map(lambda k: 2.0**-k)),
+            min_size=1,
+            max_size=300,
+        ).filter(lambda w: math.fsum(w) > 0),
+        log_buckets=st.integers(10, 16),
+    )
+    def test_random_alphabets(self, weights, log_buckets):
+        # zero weights too: several steps on one point
+        self._check(np.asarray(weights) / math.fsum(weights), 2**log_buckets)
+
+
 class TestWordRows:
     def test_order_and_labels(self):
         table = FrequencyTable({"\x02": 2, "\x01\x02": 2, "": 1, "\x01": 2, "\x03": 3})
-        lines = list(word_lines(table, ("zy", "x", "w")))
+        lines = "\n".join(word_lines(table, ("zy", "x", "w"))).split("\n")
         # most frequent first; ties in letter-index order (a prefix first),
         # not in the order of the rendered labels
         assert lines == ["w\t3", "zy\t2", "zyx\t2", "x\t2", "<EPS>\t1"]
 
     def test_default_empty_token(self):
-        assert list(word_lines(FrequencyTable({"": 4}), ("a", "b"))) == ["<EPS>\t4"]
+        lines = "\n".join(word_lines(FrequencyTable({"": 4}), ("a", "b"))).split("\n")
+        assert lines == ["<EPS>\t4"]
 
     @pytest.mark.parametrize("run_slice", [1, 3, simulate._RUN_SLICE])
     @pytest.mark.parametrize("empty", ["alone", "shared", "absent"])
@@ -436,7 +487,16 @@ class TestWordRows:
             f"{w.translate(to_labels) if w else '<EPS>'}\t{c}"
             for w, c in sorted(entries.items(), key=lambda wc: (-wc[1], wc[0]))
         ]
-        assert list(word_lines(table, alphabet.labels)) == reference
+        pieces = list(word_lines(table, alphabet.labels))
+        assert "\n".join(pieces).split("\n") == reference
+
+        # each piece is whole lines (none cut across two pieces) of one count,
+        # at most run_slice of them
+        lines = [piece.split("\n") for piece in pieces]
+        assert sum(map(len, lines)) == len(reference)
+        for piece in lines:
+            assert len(piece) <= run_slice
+            assert len({line.rsplit("\t", 1)[1] for line in piece}) == 1
 
 
 class TestEmpiricalRankFreq:

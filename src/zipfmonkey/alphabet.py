@@ -173,9 +173,8 @@ def estimate_from_corpus(text: str, *, fold_case: bool = True) -> Alphabet:
 
 # --- serialization -----------------------------------------------------------
 #
-# Text format: one `space <p0>` line, then one `<label> <prob>` line per
-# letter, comments starting with '#'.  A JSON equivalent is accepted and
-# emitted by the CLI.
+# One text format: one `space <p0>` line, then one `<label> <prob>` line per
+# letter, comments starting with '#'.
 
 
 def _check_labels(labels: list[str]) -> list[str]:
@@ -203,7 +202,7 @@ def to_text(alphabet: Alphabet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_text(text: str) -> Alphabet:
+def loads(text: str) -> Alphabet:
     p0 = None
     labels: list[str] = []
     probs: list[float] = []
@@ -229,31 +228,3 @@ def from_text(text: str) -> Alphabet:
     if p0 is None:
         raise ValueError("missing 'space <p0>' line")
     return make_explicit(probs, p0, _check_labels(labels))
-
-
-def to_json(alphabet: Alphabet) -> str:
-    import json  # not at the top: only JSON alphabets need it
-    doc = {
-        "format": "v1 alphabet",
-        "space": alphabet.space_prob,
-        "letters": dict(zip(alphabet.labels, alphabet.letter_probs)),
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def from_json(text: str) -> Alphabet:
-    import json
-    try:
-        doc = json.loads(text)
-        letters = doc["letters"]
-        probs, p0 = [float(p) for p in letters.values()], float(doc["space"])
-    except (TypeError, KeyError, AttributeError, RecursionError):
-        raise ValueError('expected {"space": p0, "letters": {label: prob, ...}}') from None
-    return make_explicit(probs, p0, _check_labels(list(letters)))
-
-
-def loads(text: str) -> Alphabet:
-    """Parse either serialization, sniffing JSON by a leading brace."""
-    if text.lstrip().startswith("{"):
-        return from_json(text)
-    return from_text(text)

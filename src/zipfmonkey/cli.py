@@ -96,11 +96,14 @@ def _write(path: str | None, lines: Iterable[str]) -> None:
 
 
 # --- subcommands -------------------------------------------------------------
-# Each computes its whole result, then returns (exit code, output lines); only
-# rendering is left to the lazy lines, so a command that fails writes nothing.
-# levels leaves its walk to them too: past its checks it ends only in "# truncated".
+# Each computes its whole result, then returns (exit code, output lines), plus
+# (path, lines) for a side file (fit --plot-data, ingest --alphabet-out) that
+# main writes after the output.  Only rendering is left to the lazy lines, so a
+# command that fails writes nothing.  levels leaves its walk to them too: past
+# its checks it ends only in "# truncated".
 
-Output = tuple[int, Iterable[str]]
+Lines = Iterable[str]
+Output = tuple[int, Lines] | tuple[int, Lines, tuple[str, Lines]]
 
 
 def _cmd_gamma(args) -> Output:
@@ -252,12 +255,12 @@ def _cmd_fit(args) -> Output:
         f"window_lo={result.rank_window[0]}",
         f"window_hi={result.rank_window[1]}",
     ]
-    if args.plot_data:
-        lo, hi = result.rank_window
-        lg = ((math.log10(r), math.log10(f)) for r, f in simulate.expand_runs(points.runs, lo, hi))
-        rows = (f"{x!r},{y!r},{result.intercept + result.slope * x!r}" for x, y in lg)
-        _write(args.plot_data, chain(["lg_r,lg_f,lg_f_fit"], rows))
-    return EXIT_OK, lines
+    if not args.plot_data:
+        return EXIT_OK, lines
+    lo, hi = result.rank_window
+    lg = ((math.log10(r), math.log10(f)) for r, f in simulate.expand_runs(points.runs, lo, hi))
+    rows = (f"{x!r},{y!r},{result.intercept + result.slope * x!r}" for x, y in lg)
+    return EXIT_OK, lines, (args.plot_data, chain(["lg_r,lg_f,lg_f_fit"], rows))
 
 
 def _cmd_compare(args) -> Output:
@@ -299,12 +302,11 @@ def _cmd_ingest(args) -> Output:
         f"# source={args.corpus} words={sum(counts.values())} distinct={len(counts)}",
         "# columns: rank\tfreq",
     ]
-    if args.alphabet_out:
-        al = alphabet_mod.estimate_from_corpus(text, fold_case=not args.keep_case)
-        as_json = args.alphabet_out.endswith(".json")
-        with open(args.alphabet_out, "w", encoding="utf-8") as fh:
-            fh.write(alphabet_mod.to_json(al) if as_json else alphabet_mod.to_text(al))
-    return EXIT_OK, chain(header, (f"{r}\t{f!r}" for r, f in points))
+    lines = chain(header, (f"{r}\t{f!r}" for r, f in simulate.expand_runs(points.runs)))
+    if not args.alphabet_out:
+        return EXIT_OK, lines
+    al = alphabet_mod.estimate_from_corpus(text, fold_case=not args.keep_case)
+    return EXIT_OK, lines, (args.alphabet_out, [alphabet_mod.to_text(al).removesuffix("\n")])
 
 
 # --- parser ------------------------------------------------------------------
@@ -324,7 +326,7 @@ def build_parser() -> _Parser:
     table.add_argument("--window", type=int, nargs=2, metavar=("R_MIN", "R_MAX"))
     source = _Parser(add_help=False)  # the alphabet, read by _resolve_alphabet
     group = source.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alphabet", metavar="FILE", help="alphabet file (text or JSON)")
+    group.add_argument("--alphabet", metavar="FILE", help="alphabet file")
     group.add_argument("--uniform", type=int, metavar="N", help="N equally likely letters")
     group.add_argument(
         "--gusein-zade", dest="gusein_zade", type=int, metavar="N",
@@ -398,8 +400,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         args.node_budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
         args.word_cap = _env_limit("ZIPFMONKEY_WORD_CAP", simulate.DEFAULT_WORD_CAP)
-        code, lines = args.func(args)
+        code, lines, *side_files = args.func(args)
         _write(args.out, lines)
+        for path, side_lines in side_files:
+            _write(path, side_lines)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -112,11 +112,12 @@ def log_weights(alphabet: Alphabet) -> WeightVector:
 def rescale_weights(alphabet: Alphabet, gamma: GammaSolution) -> WeightVector:
     """Rescaled weights gamma * L_i, normalized so sum(exp(-L_i)) = 1.
 
-    Rejects a gamma that does not actually solve the exponent equation for
-    this alphabet (stale or mismatched solutions).
+    Rejects a gamma that does not solve the exponent equation for this
+    alphabet within RESIDUAL_TOL (stale or mismatched solutions), the
+    tolerance verify_bounds holds the rescaled weights to.
     """
     check = power_sum(alphabet, gamma.gamma) - 1.0
-    if abs(check) > 1e-9:
+    if abs(check) > RESIDUAL_TOL:
         raise ValueError(
             f"gamma={gamma.gamma} does not solve the exponent equation for this "
             f"alphabet (residual {check})"

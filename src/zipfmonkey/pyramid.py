@@ -60,44 +60,20 @@ class Level(NamedTuple):
     """One probability class of words and its (inclusive) rank span."""
 
     weight: float
-    word_count: int
     rank_lo: int
     rank_hi: int
     log_prob: float
 
 
-class LevelTable:
+class LevelTable(NamedTuple):
     """Levels in strictly increasing weight order, plus a truncation flag.
 
     truncated is True when the node budget ran out mid-level; the partial
     level is dropped and the returned prefix is certified complete.
     """
 
-    def __init__(self, levels: tuple[Level, ...], truncated: bool):
-        self.__dict__.update(levels=levels, truncated=truncated)
-
-    def __setattr__(self, name, *_value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):  # the instance dict holds the fields and nothing else
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.levels, self.truncated))
-
-    def __repr__(self):
-        return f"LevelTable(levels={self.levels!r}, truncated={self.truncated!r})"
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __iter__(self):
-        return iter(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
+    levels: tuple[Level, ...]
+    truncated: bool
 
     @property
     def max_rank(self) -> int:
@@ -415,15 +391,15 @@ def enumerate_levels(
     rows = level_rows(alphabet, max_rank=max_rank, max_weight=max_weight, node_budget=node_budget)
     levels: list[Level] = []
     try:
-        for weight, lo, hi, log_prob in rows:
-            levels.append(Level(weight, hi - lo + 1, lo, hi, log_prob))
+        for row in rows:
+            levels.append(Level._make(row))
     except ResourceGuardError:
         return LevelTable(tuple(levels), True)  # the partial level was never yielded
     return LevelTable(tuple(levels), False)
 
 
-def p_of_rank(levels: LevelTable | Sequence[Level], r: int) -> float:
-    """Log-probability of the rank-r word, from an enumerated level table."""
+def p_of_rank(levels: Sequence[Level], r: int) -> float:
+    """Log-probability of the rank-r word, from enumerated levels (LevelTable.levels)."""
     if not levels:
         raise ValueError("empty level table")
     if r < 1 or r > levels[-1].rank_hi:

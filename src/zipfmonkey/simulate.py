@@ -69,12 +69,14 @@ class FrequencyTable(NamedTuple):
         return sum(self.entries.values())
 
 
-class RankFrequency:
+class RankFrequency(NamedTuple("RankFrequency", [("runs", tuple)])):
     """Runs (rank_lo, rank_hi, freq) of ranks >= 1, each rank of a run at the
     relative frequency freq.  Runs ascend in rank without overlap (gaps
-    allowed), freqs nonincreasing.  Iterating yields the (rank, freq) points."""
+    allowed), freqs nonincreasing.  expand_runs yields the (rank, freq) points."""
 
-    def __init__(self, runs: tuple[tuple[int, int, float], ...]):
+    __slots__ = ()
+
+    def __new__(cls, runs):
         checked: list[tuple[int, int, float]] = []
         for lo, hi, f in runs:
             lo, hi, f = int(lo), int(hi), float(f)
@@ -89,24 +91,9 @@ class RankFrequency:
             if checked and f > checked[-1][2]:
                 raise ValueError("frequencies must be nonincreasing")
             checked.append((lo, hi, f))
-        self.__dict__["runs"] = tuple(checked)
+        return super().__new__(cls, tuple(checked))
 
-    def __setattr__(self, name, *_value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.runs == other.runs if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self.runs)
-
-    def __repr__(self):
-        return f"RankFrequency(runs={self.runs!r})"
-
-    def __iter__(self) -> Iterator[tuple[int, float]]:
-        return expand_runs(self.runs)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 def expand_runs(runs, r_min=-math.inf, r_max=math.inf) -> Iterator[tuple[int, float]]:
@@ -248,14 +235,13 @@ def generate_words(
     return FrequencyTable(counts)
 
 
-def empirical_rank_freq(table: FrequencyTable | Iterable[int]) -> RankFrequency:
+def empirical_rank_freq(counts: Iterable[int]) -> RankFrequency:
     """Rank words by count: the k words seen c times share one run of k
     ranks at frequency c / total, after the more frequent words.
 
-    Takes a FrequencyTable or the bare counts, one per distinct word.  An
-    empty input or a count that is not positive raises ValueError.
+    Takes the counts, one per distinct word.  An empty input or a count
+    that is not positive raises ValueError.
     """
-    counts = table.entries.values() if isinstance(table, FrequencyTable) else table
     spectrum = sorted(Counter(counts).items(), reverse=True)  # (count, words seen so often)
     if not spectrum:
         raise ValueError("empty frequency table")

@@ -121,9 +121,9 @@ def test_criterion_3_oracle_equivalence():
         table = enumerate_levels(alphabet, max_weight=cutoff)
         log_p0 = math.log(p0)
         expected = [lv for lv in oracle_levels(words) if log_p0 - lv[0] <= cutoff]
-        assert len(table) == len(expected)
-        for lv, (olp, ocount, olo, ohi) in zip(table, expected):
-            assert (lv.word_count, lv.rank_lo, lv.rank_hi) == (ocount, olo, ohi)
+        assert len(table.levels) == len(expected)
+        for lv, (olp, ocount, olo, ohi) in zip(table.levels, expected):
+            assert (lv.rank_hi - lv.rank_lo + 1, lv.rank_lo, lv.rank_hi) == (ocount, olo, ohi)
             assert abs(lv.log_prob - olp) <= 1e-10
 
         floor = p0 * alphabet.p_max**max_len
@@ -132,7 +132,7 @@ def test_criterion_3_oracle_equivalence():
             assert rank_of_probability(alphabet, f) == oracle_rank_of_probability(words, f)
         for _ in range(100):
             r = rng.randint(1, table.max_rank)
-            assert abs(p_of_rank(table, r) - oracle_p_of_rank(words, r)) <= 1e-10
+            assert abs(p_of_rank(table.levels, r) - oracle_p_of_rank(words, r)) <= 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report(3, "oracle equivalence",
@@ -196,7 +196,7 @@ def test_criterion_6_monte_carlo_end_to_end(million_word_table):
     """Fitted slope over ranks 10..300 within 0.1 of -1/gamma; < 2 min."""
     t0 = time.perf_counter()
     alphabet, table = million_word_table
-    points = empirical_rank_freq(table)
+    points = empirical_rank_freq(table.entries.values())
     fit = ols_loglog(points, 10, 300)
     predicted = -predicted_exponent(alphabet)
     gap = abs(fit.slope - predicted)

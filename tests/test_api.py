@@ -1,7 +1,6 @@
 """The package's public names and each command's options: a change to them is deliberate."""
 
 import argparse
-import dataclasses
 import importlib.util
 import inspect
 import re
@@ -54,12 +53,12 @@ PARAMETERS = {
     "FitResult": ["intercept", "slope", "r_squared", "n_points", "rank_window"],
     "FrequencyTable": ["entries"],
     "GammaSolution": ["gamma", "residual", "iterations"],
-    "Level": ["weight", "word_count", "rank_lo", "rank_hi", "log_prob"],
+    "Level": ["weight", "rank_lo", "rank_hi", "log_prob"],
     "LevelTable": ["levels", "truncated"],
     "RankFrequency": ["runs"],
     "WeightVector": ["weights"],
     "compare": ["fit", "alphabet"],
-    "empirical_rank_freq": ["table"],
+    "empirical_rank_freq": ["counts"],
     "enumerate_levels": ["alphabet", "max_rank", "max_weight", "node_budget"],
     "estimate_from_corpus": ["text", "fold_case"],
     "functional_equation_residual": ["weights", "x", "node_budget"],
@@ -104,18 +103,23 @@ def test_public_names_are_pinned():
 
 
 def test_parameters_are_pinned():
-    def parameters(obj):
-        if dataclasses.is_dataclass(obj):
-            return [field.name for field in dataclasses.fields(obj)]
-        return list(inspect.signature(obj).parameters)
-
     public = {name: getattr(zipfmonkey, name) for name in zipfmonkey.__all__}
     got = {
-        name: parameters(obj)
+        name: list(inspect.signature(obj).parameters)
         for name, obj in public.items()
         if not (isinstance(obj, type) and issubclass(obj, Exception))
     }
     assert got == PARAMETERS
+
+
+def test_records_are_named_tuples():
+    # one record idiom: every public record is a tuple whose fields are its pin
+    records = {name: getattr(zipfmonkey, name) for name in PARAMETERS}
+    records = {name: obj for name, obj in records.items() if isinstance(obj, type)}
+    assert len(records) == 10
+    assert [name for name, record in records.items() if not issubclass(record, tuple)] == []
+    assert {name: list(record._fields) for name, record in records.items()} == {
+        name: PARAMETERS[name] for name in records}
 
 
 def test_command_options_are_pinned():

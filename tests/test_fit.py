@@ -19,9 +19,9 @@ from zipfmonkey import (
 GAMMA_06_02 = 0.7271601514124259243  # frozen in test_gamma
 
 
-def one_point_per_level(table):
+def one_point_per_level(levels):
     """A one-rank run at each level's rank_lo, at the level's probability."""
-    return RankFrequency(tuple((lv.rank_lo, lv.rank_lo, math.exp(lv.log_prob)) for lv in table))
+    return RankFrequency(tuple((lv.rank_lo, lv.rank_lo, math.exp(lv.log_prob)) for lv in levels))
 
 
 class TestOlsExactness:
@@ -88,7 +88,7 @@ class TestLevelTableFit:
         # enough one-per-level points must reach past 10**4
         al = make_uniform(26, 1 / 27)
         table = enumerate_levels(al, max_rank=10**6)
-        fit = ols_loglog(one_point_per_level(table), 10, 10**6)
+        fit = ols_loglog(one_point_per_level(table.levels), 10, 10**6)
         assert fit.n_points >= 4
         expected_slope = -math.log(27) / math.log(26)
         assert abs(fit.slope - expected_slope) <= 0.02
@@ -124,5 +124,5 @@ class TestCompare:
     def test_exact_levels_close_to_prediction(self):
         al = make_uniform(26, 1 / 27)
         table = enumerate_levels(al, max_rank=10**6)
-        report = compare(ols_loglog(one_point_per_level(table), 10, 10**6), al)
+        report = compare(ols_loglog(one_point_per_level(table.levels), 10, 10**6), al)
         assert report.abs_gap <= 0.02

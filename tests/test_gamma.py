@@ -16,7 +16,7 @@ from zipfmonkey import (
     rescale_weights,
     solve_gamma,
 )
-from zipfmonkey.gamma import power_sum
+from zipfmonkey.gamma import RESIDUAL_TOL, power_sum
 
 # Independent oracle for 0.6**g + 0.2**g = 1, frozen from a 200-bit
 # bisection (see bisect_200bit below, which reproduces it).
@@ -110,6 +110,18 @@ class TestRescaleWeights:
         al2 = make_uniform(2, 0.2)
         with pytest.raises(ValueError, match="does not solve"):
             rescale_weights(al2, solve_gamma(al1))
+
+    def test_refuses_at_the_shared_residual_tolerance(self):
+        # the tolerance verify_bounds holds the rescaled weights to: a gamma
+        # off by more is refused here, naming the exponent equation
+        al = make_gusein_zade(5, 0.18)
+        sol = solve_gamma(al)
+        gamma = sol.gamma - 1e-11
+        off = sol._replace(gamma=gamma, residual=power_sum(al, gamma) - 1.0)
+        assert RESIDUAL_TOL < abs(off.residual) < 1e-9
+        with pytest.raises(ValueError, match="does not solve the exponent equation"):
+            rescale_weights(al, off)
+        assert rescale_weights(al, sol).normalized  # the solver's own root passes
 
 
 class TestWeightVector:

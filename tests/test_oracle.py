@@ -111,9 +111,9 @@ class TestCrossCheck:
         table = enumerate_levels(alphabet, max_weight=cutoff)
         log_p0 = math.log(alphabet.space_prob)
         expected = [lv for lv in oracle_levels(words) if log_p0 - lv[0] <= cutoff]
-        assert len(table) == len(expected)
-        for lv, (olp, ocount, olo, ohi) in zip(table, expected):
-            assert lv.word_count == ocount
+        assert len(table.levels) == len(expected)
+        for lv, (olp, ocount, olo, ohi) in zip(table.levels, expected):
+            assert lv.rank_hi - lv.rank_lo + 1 == ocount
             assert lv.rank_lo == olo
             assert lv.rank_hi == ohi
             assert lv.log_prob == pytest.approx(olp, abs=1e-10)
@@ -127,7 +127,7 @@ class TestCrossCheck:
         top = table.max_rank
         for _ in range(60):
             r = rng.randint(1, top)
-            assert p_of_rank(table, r) == pytest.approx(
+            assert p_of_rank(table.levels, r) == pytest.approx(
                 oracle_p_of_rank(words, r), abs=1e-10
             )
 

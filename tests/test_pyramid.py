@@ -46,7 +46,6 @@ from zipfmonkey.pyramid import (
     DEFAULT_NODE_BUDGET,
     TIE_EPS,
     BoundCertificate,
-    LevelTable,
     _grid,
     _Grid,
     _iter_levels,
@@ -56,6 +55,11 @@ from zipfmonkey.pyramid import (
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+
+
+def words_in(lv):
+    """How many words a level holds: its rank span."""
+    return lv.rank_hi - lv.rank_lo + 1
 
 
 class TestMultinomial:
@@ -227,7 +231,7 @@ class TestRankOfProbability:
     )
     def test_empty_word_anchor_after_rounding(self, al):
         # exp(log(p0)) rounds above p0 for these alphabets
-        levels = enumerate_levels(al, max_rank=1)
+        levels = enumerate_levels(al, max_rank=1).levels
         assert rank_of_probability(al, math.exp(levels[0].log_prob)) == 1
 
     def test_top_letter_anchor(self):
@@ -256,8 +260,8 @@ class TestRankOfProbability:
     )
     def test_every_level_probability_gives_its_rank_hi(self, al, x_max):
         table = enumerate_levels(al, max_weight=x_max)
-        assert not table.truncated and len(table) > 4
-        for lv in table:
+        assert not table.truncated and len(table.levels) > 4
+        for lv in table.levels:
             assert rank_of_probability(al, math.exp(lv.log_prob)) == lv.rank_hi
 
 
@@ -365,8 +369,8 @@ class TestFinerThreshold:
         assert weight_events(wv, x) == jumps
         table = enumerate_levels(al, max_weight=x)
         assert not table.truncated
-        assert [(lv.weight, lv.rank_hi) for lv in table] == jumps
-        assert [lv.word_count for lv in table] == [
+        assert [(lv.weight, lv.rank_hi) for lv in table.levels] == jumps
+        assert [words_in(lv) for lv in table.levels] == [
             q - q_prev for (_x, q_prev), (_w, q) in itertools.pairwise([(None, 0), *jumps])
         ]
 
@@ -403,10 +407,10 @@ class TestWeightCache:
             sol = solve_gamma(al)
             table = enumerate_levels(al, max_rank=200)
             words = generate_words(al, 2000, seed=1)
-            curve = empirical_rank_freq(words)
+            curve = empirical_rank_freq(words.entries.values())
             fit = ols_loglog(curve)
             cert = verify_bounds(rescale_weights(al, sol), 8.0)
-            return [sol, table, table[3], cert, words, curve, fit, compare(fit, al)]
+            return [sol, table, table.levels[3], cert, words, curve, fit, compare(fit, al)]
 
         pairs = [(al, fresh), (wv, fresh_wv), *zip(records(al), records(fresh))]
         public = {name for name in zipfmonkey.__all__ if name[0].isupper()} - {
@@ -485,17 +489,17 @@ class TestTwoLightestGroups:
 class TestEnumerateLevels:
     def test_uniform_first_three_levels(self):
         table = enumerate_levels(make_uniform(2, 1 / 3), max_rank=7)
-        got = [(lv.word_count, lv.rank_lo, lv.rank_hi) for lv in table]
+        got = [(words_in(lv), lv.rank_lo, lv.rank_hi) for lv in table.levels]
         assert got == [(1, 1, 1), (2, 2, 3), (4, 4, 7)]
-        assert table[0].weight == 0.0
-        assert table[1].weight == pytest.approx(LN3, abs=1e-12)
-        assert table[2].weight == pytest.approx(2 * LN3, abs=1e-12)
+        assert table.levels[0].weight == 0.0
+        assert table.levels[1].weight == pytest.approx(LN3, abs=1e-12)
+        assert table.levels[2].weight == pytest.approx(2 * LN3, abs=1e-12)
         assert not table.truncated
 
     def test_level_zero_is_empty_word(self):
         table = enumerate_levels(make_explicit((0.6, 0.2), 0.2), max_rank=1)
-        lv = table[0]
-        assert (lv.weight, lv.word_count, lv.rank_lo, lv.rank_hi) == (0.0, 1, 1, 1)
+        lv = table.levels[0]
+        assert (lv.weight, lv.rank_lo, lv.rank_hi) == (0.0, 1, 1)
         assert lv.log_prob == pytest.approx(math.log(0.2))
 
     def test_mixed_weight_class(self):
@@ -503,21 +507,19 @@ class TestEnumerateLevels:
         al = make_explicit((0.6, 0.2), 0.2)
         w = -math.log(0.6) - math.log(0.2)
         table = enumerate_levels(al, max_weight=w + 0.01)
-        match = [lv for lv in table if abs(lv.weight - w) < 1e-9]
+        match = [lv for lv in table.levels if abs(lv.weight - w) < 1e-9]
         assert len(match) == 1
-        assert match[0].word_count == 2
+        assert words_in(match[0]) == 2
 
     def test_rank_chain_invariants(self):
         rng = random.Random(9)
         for _ in range(20):
             al = make_random_alphabet(rng, rng.choice((2, 3, 4)), rng.uniform(0.1, 0.5))
             table = enumerate_levels(al, max_rank=rng.randint(1, 500))
-            assert table[0].rank_lo == 1
-            for prev, cur in zip(table, table.levels[1:]):
+            assert table.levels[0].rank_lo == 1
+            for prev, cur in zip(table.levels, table.levels[1:]):
                 assert cur.rank_lo == prev.rank_hi + 1
                 assert cur.weight > prev.weight
-            for lv in table:
-                assert lv.rank_hi - lv.rank_lo + 1 == lv.word_count
 
     def test_rank_budget_completes_final_level(self):
         table = enumerate_levels(make_uniform(2, 1 / 3), max_rank=5)
@@ -560,8 +562,8 @@ class TestEnumerateLevels:
     def test_node_budget_truncates_cleanly(self):
         table = enumerate_levels(make_uniform(3, 0.1), max_rank=10**6, node_budget=500)
         assert table.truncated
-        assert len(table) > 0
-        for prev, cur in zip(table, table.levels[1:]):
+        assert len(table.levels) > 0
+        for prev, cur in zip(table.levels, table.levels[1:]):
             assert cur.rank_lo == prev.rank_hi + 1
 
 
@@ -569,36 +571,37 @@ class TestPOfRank:
     def test_rank_one_is_empty_word(self):
         al = make_uniform(2, 1 / 3)
         table = enumerate_levels(al, max_rank=7)
-        assert p_of_rank(table, 1) == pytest.approx(math.log(1 / 3))
+        assert p_of_rank(table.levels, 1) == pytest.approx(math.log(1 / 3))
 
     def test_inside_level(self):
         table = enumerate_levels(make_uniform(2, 1 / 3), max_rank=7)
-        assert p_of_rank(table, 5) == pytest.approx(math.log(1 / 27), abs=1e-12)
+        assert p_of_rank(table.levels, 5) == pytest.approx(math.log(1 / 27), abs=1e-12)
 
     def test_span_boundaries(self):
         table = enumerate_levels(make_uniform(2, 1 / 3), max_rank=20)
-        for lv in table:
-            assert p_of_rank(table, lv.rank_lo) == lv.log_prob
-            assert p_of_rank(table, lv.rank_hi) == lv.log_prob
+        for lv in table.levels:
+            assert p_of_rank(table.levels, lv.rank_lo) == lv.log_prob
+            assert p_of_rank(table.levels, lv.rank_hi) == lv.log_prob
 
     def test_out_of_range(self):
         table = enumerate_levels(make_uniform(2, 1 / 3), max_rank=7)
         with pytest.raises(ValueError):
-            p_of_rank(table, 0)
+            p_of_rank(table.levels, 0)
         with pytest.raises(ValueError):
-            p_of_rank(table, table.max_rank + 1)
+            p_of_rank(table.levels, table.max_rank + 1)
 
-    def test_bisects_without_iterating_the_table(self, monkeypatch):
+    def test_bisects_without_iterating_the_table(self):
         table = enumerate_levels(make_uniform(2, 1 / 3), max_rank=20)
-        expected = [p_of_rank(table, r) for r in range(1, table.max_rank + 1)]
+        expected = [p_of_rank(table.levels, r) for r in range(1, table.max_rank + 1)]
 
-        def no_iter(self):
-            raise AssertionError("p_of_rank iterated the level table")
+        class Unscannable(tuple):
+            def __iter__(self):
+                raise AssertionError("p_of_rank iterated the levels")
 
-        monkeypatch.setattr(LevelTable, "__iter__", no_iter)
-        assert [p_of_rank(table, r) for r in range(1, table.max_rank + 1)] == expected
+        levels = Unscannable(table.levels)
+        assert [p_of_rank(levels, r) for r in range(1, table.max_rank + 1)] == expected
         with pytest.raises(ValueError):
-            p_of_rank(LevelTable((), False), 1)
+            p_of_rank(Unscannable(), 1)
 
 
 class TestFunctionalEquation:
@@ -681,7 +684,7 @@ class TestLevelGenerator:
         expected = [(float(w), words) for w, words, _ in product_levels(wv, Fraction(x) + tie, tie)]
         table = enumerate_levels(al, max_weight=x)
         assert not table.truncated
-        assert [(lv.weight, lv.word_count) for lv in table] == expected
+        assert [(lv.weight, words_in(lv)) for lv in table.levels] == expected
 
     def test_letter_order_is_irrelevant(self):
         wv = log_weights(GENERATOR_ALPHABETS[1])
@@ -702,8 +705,8 @@ class TestLevelGenerator:
         events = weight_events(wv, 8.0)
         table = enumerate_levels(al, max_weight=8.0)
         assert table.max_rank == events[-1][1]
-        assert len(table) == len(events)
-        assert events == [(lv.weight, lv.rank_hi) for lv in table]
+        assert len(table.levels) == len(events)
+        assert events == [(lv.weight, lv.rank_hi) for lv in table.levels]
         exact = product_levels(wv, Fraction(8.0) + Fraction(TIE_EPS), 0)
         assert len(events) < len(exact)  # the near ties did merge
 
@@ -718,14 +721,14 @@ class TestLevelGenerator:
         x, q = weight_events(wv, x_max)[-1]
         assert x == b
         assert q == q_tilde_direct(wv, x) == 4
-        last = enumerate_levels(al, max_weight=x_max)[-1]
-        assert last == enumerate_levels(al, max_rank=4)[-1]
-        assert last.word_count == 2
+        last = enumerate_levels(al, max_weight=x_max).levels[-1]
+        assert last == enumerate_levels(al, max_rank=4).levels[-1]
+        assert words_in(last) == 2
         # a level opening within TIE_EPS above x_max + TIE_EPS stays out
         events = weight_events(wv, 3.0)
         x_max = events[-1][0] - 1.5 * TIE_EPS
         assert weight_events(wv, x_max) == events[:-1]
-        assert len(enumerate_levels(al, max_weight=x_max)) == len(events) - 1
+        assert len(enumerate_levels(al, max_weight=x_max).levels) == len(events) - 1
 
     def test_uniform_budget_rule(self):
         # the grouped walk pops one node per length m, standing for the
@@ -736,7 +739,7 @@ class TestLevelGenerator:
             table = enumerate_levels(al, max_rank=10**6, node_budget=budget)
             kept = sum(1 for m in range(20) if math.comb(m + 3, 3) <= budget)
             assert table.truncated
-            assert [lv.word_count for lv in table] == [3**m for m in range(kept)]
+            assert [words_in(lv) for lv in table.levels] == [3**m for m in range(kept)]
 
     @pytest.mark.parametrize(
         "al",
@@ -753,7 +756,7 @@ class TestLevelGenerator:
             table = enumerate_levels(al, max_rank=10**12, node_budget=budget)
             kept = sum(1 for t in through if t <= budget)
             assert table.truncated
-            assert [(lv.weight, lv.word_count) for lv in table] == [
+            assert [(lv.weight, words_in(lv)) for lv in table.levels] == [
                 (float(w), words) for w, words, _ in brute[:kept]
             ]
 
@@ -763,9 +766,9 @@ class TestLevelGenerator:
         al = make_explicit((0.03,) * 20 + (0.08, 0.06, 0.05, 0.04, 0.035, 0.025), 0.11)
         table = enumerate_levels(al, max_rank=10**15, node_budget=10**6)
         assert table.truncated
-        assert len(table) == 1292
+        assert len(table.levels) == 1292
         assert table.max_rank == 446_681_832
-        pairs = repr([(lv.weight, lv.word_count) for lv in table]).encode()
+        pairs = repr([(lv.weight, words_in(lv)) for lv in table.levels]).encode()
         assert hashlib.sha256(pairs).hexdigest() == (
             "6a458358a5847fb7dbc015e8293c33b45af3d3ca675e7eafc91467c3dd2207cf"
         )
@@ -948,7 +951,7 @@ class TestRenewalConstant:
         log_p0 = math.log(al.space_prob)
         ends = [
             (lv.log_prob, r)
-            for lv in enumerate_levels(al, max_rank=10**6)
+            for lv in enumerate_levels(al, max_rank=10**6).levels
             for r in (lv.rank_lo, lv.rank_hi)
             if 100 <= r <= 10**6
         ]

@@ -26,7 +26,7 @@ from zipfmonkey import (
 from zipfmonkey import simulate
 from zipfmonkey.cli import main
 from zipfmonkey.errors import ResourceGuardError
-from zipfmonkey.simulate import _generate_stream, word_lines
+from zipfmonkey.simulate import _generate_stream, expand_runs, word_lines
 
 N_WORDS = 100_000
 SEED = 20260808
@@ -499,30 +499,34 @@ class TestWordRows:
             assert len({line.rsplit("\t", 1)[1] for line in piece}) == 1
 
 
+def points(rf):
+    """A RankFrequency's (rank, freq) points, rank by rank."""
+    return tuple(expand_runs(rf.runs))
+
+
 class TestEmpiricalRankFreq:
     def test_single_word(self):
-        rf = empirical_rank_freq(FrequencyTable({"\x01": 5}))
-        assert tuple(rf) == ((1, 1.0),)
+        rf = empirical_rank_freq(FrequencyTable({"\x01": 5}).entries.values())
+        assert points(rf) == ((1, 1.0),)
 
     def test_two_words(self):
-        rf = empirical_rank_freq(FrequencyTable({"\x01": 3, "\x02": 1}))
-        assert tuple(rf) == ((1, 0.75), (2, 0.25))
+        rf = empirical_rank_freq(FrequencyTable({"\x01": 3, "\x02": 1}).entries.values())
+        assert points(rf) == ((1, 0.75), (2, 0.25))
 
     def test_tie_break_lexicographic(self):
-        rf = empirical_rank_freq(FrequencyTable({"\x02": 2, "\x01": 2, "": 2}))
-        assert [f for _r, f in rf] == [pytest.approx(1 / 3)] * 3
-        # ranks follow word order: "", "\x01", "\x02"
+        rf = empirical_rank_freq(FrequencyTable({"\x02": 2, "\x01": 2, "": 2}).entries.values())
+        assert rf.runs == ((1, 3, pytest.approx(1 / 3)),)  # one run: equal counts tie
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            empirical_rank_freq(FrequencyTable({}))
+            empirical_rank_freq(FrequencyTable({}).entries.values())
 
     def test_bare_counts(self):
         # any iterable of counts, one per distinct word, in any order
         expected = ((1, 0.375), (2, 0.25), (3, 0.25), (4, 0.125))
-        assert tuple(empirical_rank_freq([1, 3, 2, 2])) == expected
-        assert tuple(empirical_rank_freq(iter((2, 1, 2, 3)))) == expected
-        assert tuple(empirical_rank_freq({"a": 2, "b": 6}.values())) == ((1, 0.75), (2, 0.25))
+        assert points(empirical_rank_freq([1, 3, 2, 2])) == expected
+        assert points(empirical_rank_freq(iter((2, 1, 2, 3)))) == expected
+        assert points(empirical_rank_freq({"a": 2, "b": 6}.values())) == ((1, 0.75), (2, 0.25))
         with pytest.raises(ValueError, match="empty"):
             empirical_rank_freq([])
 
@@ -536,9 +540,9 @@ class TestEmpiricalRankFreq:
         # that level's probability
         al = make_uniform(3, 0.25)
         table = generate_words(al, 300_000, seed=99)
-        rf = empirical_rank_freq(table)
-        levels = enumerate_levels(al, max_rank=13)  # empty, 3 singles, 9 pairs
-        freqs = dict(rf)
+        rf = empirical_rank_freq(table.entries.values())
+        levels = enumerate_levels(al, max_rank=13).levels  # empty, 3 singles, 9 pairs
+        freqs = dict(points(rf))
         for lv in levels:
             p = math.exp(lv.log_prob)
             se = math.sqrt(p * (1 - p) / 300_000)
@@ -549,11 +553,11 @@ class TestEmpiricalRankFreq:
 class TestRankFrequencyInvariants:
     def test_accepts_valid(self):
         rf = RankFrequency(((1, 2, 0.5), (3, 3, 0.1)))
-        assert tuple(rf) == ((1, 0.5), (2, 0.5), (3, 0.1))
+        assert points(rf) == ((1, 0.5), (2, 0.5), (3, 0.1))
 
     def test_accepts_gaps_between_runs(self):
         rf = RankFrequency(((1, 1, 0.5), (4, 5, 0.1), (9, 9, 0.1)))
-        assert tuple(rf) == ((1, 0.5), (4, 0.1), (5, 0.1), (9, 0.1))
+        assert points(rf) == ((1, 0.5), (4, 0.1), (5, 0.1), (9, 0.1))
 
     def test_rejects_nonincreasing_ranks(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -583,6 +587,12 @@ class TestRankFrequencyInvariants:
             RankFrequency(((1, 1, 0.0),))
         with pytest.raises(ValueError, match="out of"):
             RankFrequency(((1, 1, 1.2),))
+
+    def test_replace_runs_the_checks(self):
+        rf = RankFrequency(((1, 1, 0.5),))
+        assert rf._replace(runs=[(1, 2, 0.5)]).runs == ((1, 2, 0.5),)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            rf._replace(runs=((1, 1, 0.1), (2, 2, 0.4)))
 
     def test_empty_curve_cannot_be_fitted(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -616,17 +626,17 @@ class TestRunsMatchPerWordPoints:
     )
     def test_points_runs_and_fits(self, counts, windows):
         rf = empirical_rank_freq(counts)
-        points = list(rf)
-        assert tuple(points) == per_word_points(counts)
+        pts = points(rf)
+        assert pts == per_word_points(counts)
         assert len(rf.runs) == len(set(counts))
-        assert fit_or_error(rf) == fit_or_error(one_rank_runs(points))  # the default window
+        assert fit_or_error(rf) == fit_or_error(one_rank_runs(pts))  # the default window
         for lo, hi in windows:
-            assert fit_or_error(rf, lo, hi) == fit_or_error(one_rank_runs(points), lo, hi)
+            assert fit_or_error(rf, lo, hi) == fit_or_error(one_rank_runs(pts), lo, hi)
 
     def test_simulated_table(self, skewed_table):
         counts = list(skewed_table.entries.values())
-        rf = empirical_rank_freq(skewed_table)
-        assert tuple(rf) == per_word_points(counts)
+        rf = empirical_rank_freq(counts)
+        assert points(rf) == per_word_points(counts)
         assert len(rf.runs) == len(set(counts)) < len(counts) // 10
         per_word = one_rank_runs(per_word_points(counts))
         assert ols_loglog(rf, 10, 300) == ols_loglog(per_word, 10, 300)

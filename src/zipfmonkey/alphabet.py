@@ -77,10 +77,6 @@ class Alphabet(namedtuple("Alphabet", "letter_probs space_prob labels")):
     def n(self) -> int:
         return len(self.letter_probs)
 
-    @property
-    def p_max(self) -> float:
-        return self.letter_probs[0]
-
 
 def make_explicit(
     probs: Iterable[float],
@@ -182,8 +178,8 @@ def _check_labels(labels: list[str]) -> list[str]:
     is written as its labels run together, so they must be prefix-free and
     must not spell EMPTY_WORD."""
     ordered = sorted(labels)  # a label's extensions sort right after it
-    for prev, label in zip(["#", *ordered], ordered):  # no valid label starts with '#'
-        if not re.fullmatch(r"[^#\s]\S*", label) or label == "space" or label.startswith(prev):
+    for prev, label in zip(ordered, ordered[1:]):
+        if label.startswith(prev):
             raise ValueError(f"bad letter label {label!r}: labels must be nonempty, without "
                              "whitespace or a leading '#', not 'space', nor start another label")
     # prefix-free, so at most one label matches where the last one ended

@@ -58,10 +58,6 @@ class WeightVector(NamedTuple("WeightVector", [("weights", tuple)])):
         return max(self.weights)
 
     @property
-    def L_min(self) -> float:
-        return min(self.weights)
-
-    @property
     def normalization_defect(self) -> float:
         """sum(exp(-L_i)) - 1; zero for normalized weights."""
         return math.fsum(math.exp(-w) for w in self.weights) - 1.0

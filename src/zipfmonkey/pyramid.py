@@ -204,12 +204,9 @@ def _memo_sum(grid: _Grid, T: int, budget: int) -> int:
     stack = [0]
     while stack:
         s = stack[-1]
-        if s in memo:
-            stack.pop()
-            continue
         missing = [s + wi for wi in w if s + wi <= T and (s + wi) not in memo]
         if missing:
-            stack.extend(missing)
+            stack.extend(missing)  # all above s: the stack ascends, no sum is pushed twice
             continue
         memo[s] = 1 + sum(gi * memo[s + wi] for wi, gi in zip(w, g) if s + wi <= T)
         stack.pop()

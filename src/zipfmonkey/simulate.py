@@ -14,28 +14,9 @@ word_count, seed) triple reproduces the same table within one build.
 
 A word is a str from the draw to the output: letter i is the code point
 i + 1, so words sort like their letter-index tuples and the empty word is
-"".  The generator draws all word lengths and counts the empty words among
-them at once.  It takes the others in blocks of about 2**18 code points
-(letters and separators): it draws a block's letters, writes them through
-a mask into a zeroed code-point array, which leaves a 0 between words,
-decodes it and counts the words.  Memory grows
-with the words, the distinct words and one block's letters, not with all
-the letters; the block size changes no count.  The encoding allows at most
-sys.maxunicode letters.
-
-Letters are drawn by a guide table (Chen and Asau's indexed search) over
-the doubles Generator.choice(p=...) would draw: a bucket of [0, 1) with no
-cdf step inside it decides its letter by one lookup, and the few draws
-that land in another bucket are searched as choice searches them.  The
-RNG stream and every letter are choice's, so a fixed seed draws the table
-it drew when the simulator called choice (see _letter_sampler).
-
-A rank-frequency curve is held as runs of equal frequency, one per distinct
-count (the frequency spectrum), not as one point per word.  A word table is
-ranked by putting the words in buckets by count and sorting each bucket,
-and is rendered run by run: word_lines renders a slice of a run as one
-multi-line piece by one join, translate and replace, exact while no label
-holds a newline.
+"".  Memory grows with the words and the distinct words, not with the
+letters.  Drawing is stated in _generate_stream and _letter_sampler,
+ranking in empirical_rank_freq and RankFrequency, output in word_lines.
 """
 
 from __future__ import annotations

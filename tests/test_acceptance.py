@@ -111,13 +111,13 @@ def test_criterion_3_oracle_equivalence():
         # the two anchor ranks
         assert oracle_rank_of_probability(words, p0) == 1
         assert rank_of_probability(alphabet, p0) == 1
-        top = alphabet.p_max * p0
+        top = alphabet.letter_probs[0] * p0
         expected_top = 2 if probs.count(max(probs)) == 1 else len(probs) + 1
         assert oracle_rank_of_probability(words, top) == expected_top
         assert rank_of_probability(alphabet, top) == expected_top
 
         # complete level prefix: nothing longer than max_len can intrude
-        cutoff = (max_len + 1) * log_weights(alphabet).L_min * 0.999
+        cutoff = (max_len + 1) * min(log_weights(alphabet).weights) * 0.999
         table = enumerate_levels(alphabet, max_weight=cutoff)
         log_p0 = math.log(p0)
         expected = [lv for lv in oracle_levels(words) if log_p0 - lv[0] <= cutoff]
@@ -126,7 +126,7 @@ def test_criterion_3_oracle_equivalence():
             assert (lv.rank_hi - lv.rank_lo + 1, lv.rank_lo, lv.rank_hi) == (ocount, olo, ohi)
             assert abs(lv.log_prob - olp) <= 1e-10
 
-        floor = p0 * alphabet.p_max**max_len
+        floor = p0 * alphabet.letter_probs[0]**max_len
         for _ in range(100):
             f = math.exp(rng.uniform(math.log(floor) * 0.98, math.log(p0)))
             assert rank_of_probability(alphabet, f) == oracle_rank_of_probability(words, f)
@@ -180,7 +180,7 @@ def test_criterion_5_boundedness_certificate():
         assert cert.event_count > 0
 
         raw = log_weights(alphabet)
-        x = max(_largest_feasible_x(raw.weights), 30.0 * raw.L_min)
+        x = max(_largest_feasible_x(raw.weights), 30.0 * min(raw.weights))
         slope = math.log(q_tilde_direct(raw, x)) / x
         gap = abs(slope - solution.gamma)
         worst_slope_gap = max(worst_slope_gap, gap)

@@ -419,3 +419,17 @@ class TestInvariants:
             am.Alphabet((0.5, 0.5), 0.2)  # bad sum
         with pytest.raises(ValueError):
             am.Alphabet((0.9,), 0.1)  # single letter
+
+    @pytest.mark.parametrize(
+        "build, labels, message",
+        [
+            (am.Alphabet, ("a", "a"), "labels must be distinct"),
+            (am.Alphabet, ("a",), "labels must parallel letter_probs"),
+            (make_explicit, ("a",), "labels must parallel probs"),
+        ],
+        ids=["Alphabet-distinct", "Alphabet-parallel", "make_explicit-parallel"],
+    )
+    def test_labels_rule(self, build, labels, message):
+        with pytest.raises(ValueError) as exc:
+            build((0.4, 0.4), 0.2, labels)
+        assert str(exc.value) == message

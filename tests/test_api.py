@@ -79,6 +79,16 @@ PARAMETERS = {
     "weight_events": ["weights", "x_max", "node_budget"],
 }
 
+# each record's public accessors, the names that are neither its fields nor
+# tuple's methods: a new accessor is as deliberate as a new field (a record
+# not listed has none)
+ACCESSORS = {
+    "Alphabet": ["log_weights", "n"],
+    "FrequencyTable": ["total_words"],
+    "LevelTable": ["max_rank"],
+    "WeightVector": ["L_max", "grid", "n", "normalization_defect", "normalized"],
+}
+
 
 # each subcommand's options: a new knob is a deliberate, reviewed change
 ALPHABET = ["--alphabet", "--corpus", "--gusein-zade", "--p0", "--uniform"]
@@ -120,6 +130,16 @@ def test_records_are_named_tuples():
     assert [name for name, record in records.items() if not issubclass(record, tuple)] == []
     assert {name: list(record._fields) for name, record in records.items()} == {
         name: PARAMETERS[name] for name in records}
+
+
+def test_record_accessors_are_pinned():
+    records = {name: getattr(zipfmonkey, name) for name in PARAMETERS}
+    accessors = {
+        name: [a for a in sorted(set(dir(record)) - set(record._fields) - set(dir(tuple)))
+               if not a.startswith("_")]
+        for name, record in records.items() if isinstance(record, type)
+    }
+    assert {name: names for name, names in accessors.items() if names} == ACCESSORS
 
 
 def test_command_options_are_pinned():

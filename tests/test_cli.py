@@ -693,6 +693,14 @@ class TestIngest:
         assert "n=9" in out
         assert {"i", "İ"} <= set(am.loads(alpha_out.read_text()).labels)
 
+    def test_corpus_without_words_is_refused(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("123 456\n--- !!!\n")
+        ranks = tmp_path / "ranks.tsv"
+        code, out, err = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(ranks))
+        assert (code, out, err) == (2, "", f"error: no words found in {corpus}\n")
+        assert not ranks.exists()
+
     def test_ingest_output_feeds_fit(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         vocab = [f"w{chr(97 + i)}" for i in range(26)]

@@ -130,7 +130,6 @@ class TestWeightVector:
         wv = log_weights(al)
         assert wv.weights[0] == pytest.approx(-math.log(0.6))
         assert wv.weights[1] == pytest.approx(-math.log(0.2))
-        assert wv.L_min == wv.weights[0]
         assert wv.L_max == wv.weights[1]
         assert not wv.normalized  # sums to 1 - p0 = 0.8
 

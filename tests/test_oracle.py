@@ -85,7 +85,7 @@ class TestCrossCheck:
     def test_rank_function_matches(self, alphabet):
         words = enumerate_all(alphabet, 8)
         rng = random.Random(13)
-        floor = alphabet.space_prob * alphabet.p_max**8
+        floor = alphabet.space_prob * alphabet.letter_probs[0]**8
         for _ in range(60):
             f = math.exp(rng.uniform(math.log(floor) * 0.95, math.log(alphabet.space_prob)))
             assert rank_of_probability(alphabet, f) == oracle_rank_of_probability(words, f)
@@ -96,7 +96,7 @@ class TestCrossCheck:
         al = make_explicit((0.3, 0.3, 0.2), 0.2)
         words = enumerate_all(al, 8)
         rng = random.Random(15)
-        floor = al.space_prob * al.p_max**8
+        floor = al.space_prob * al.letter_probs[0]**8
         for _ in range(60):
             f = math.exp(rng.uniform(math.log(floor) * 0.95, math.log(al.space_prob)))
             assert rank_of_probability(al, f) == oracle_rank_of_probability(words, f)
@@ -107,7 +107,7 @@ class TestCrossCheck:
     def test_levels_match(self, alphabet):
         max_len = 8
         words = enumerate_all(alphabet, max_len)
-        cutoff = (max_len + 1) * log_weights(alphabet).L_min * 0.999
+        cutoff = (max_len + 1) * min(log_weights(alphabet).weights) * 0.999
         table = enumerate_levels(alphabet, max_weight=cutoff)
         log_p0 = math.log(alphabet.space_prob)
         expected = [lv for lv in oracle_levels(words) if log_p0 - lv[0] <= cutoff]
@@ -121,7 +121,7 @@ class TestCrossCheck:
     def test_p_of_rank_matches(self, alphabet):
         max_len = 8
         words = enumerate_all(alphabet, max_len)
-        cutoff = (max_len + 1) * log_weights(alphabet).L_min * 0.999
+        cutoff = (max_len + 1) * min(log_weights(alphabet).weights) * 0.999
         table = enumerate_levels(alphabet, max_weight=cutoff)
         rng = random.Random(14)
         top = table.max_rank

@@ -479,7 +479,7 @@ class TestTwoLightestGroups:
     @pytest.mark.parametrize("probs", GROUP_CASES, ids=GROUP_IDS)
     def test_direct_equals_recursive(self, probs):
         wv = WeightVector(tuple(-math.log(p) for p in probs))
-        lo, hi = wv.L_min, wv.L_max
+        lo, hi = min(wv.weights), wv.L_max
         xs = [0.0, lo, hi, 2 * hi, lo + hi, 3 * lo + 2 * hi, 5.5, 9.0, 13.0]
         for x in xs:
             assert q_tilde_direct(wv, x) == q_tilde_recursive(wv, x)

@@ -17,6 +17,8 @@ from collections import Counter, namedtuple
 from functools import cached_property
 from typing import Iterable
 
+from .errors import quote
+
 NORMALIZATION_TOL = 1e-12
 
 EMPTY_WORD = "<EPS>"  # how a word table renders the empty word
@@ -136,6 +138,13 @@ def make_gusein_zade(n: int, p0: float) -> Alphabet:
     return make_explicit(probs, p0)
 
 
+def fold_letters(word: str) -> str:
+    """word in lower case letter by letter, as estimate_from_corpus counts
+    letters: no final-sigma rule, and a letter whose lower case is two code
+    points (U+0130) is kept, so each letter folds to one label."""
+    return "".join(low if len(low := ch.lower()) == 1 else ch for ch in word)
+
+
 def estimate_from_corpus(text: str, *, fold_case: bool = True) -> Alphabet:
     """Maximum-likelihood Alphabet from a text.
 
@@ -146,13 +155,13 @@ def estimate_from_corpus(text: str, *, fold_case: bool = True) -> Alphabet:
     One Counter counts the text per character, and the whitespace runs are the
     gaps between str.split's tokens plus each end that is whitespace.  Each
     distinct character is classified once, so the letter test and case folding
-    run per distinct character.  Folding keeps U+0130, whose lower case is two
-    code points, so each label is one code point and the set is prefix-free.
+    (fold_letters) run per distinct character.  Each label is one code point,
+    so the set is prefix-free.
     """
     counts: Counter[str] = Counter()
     for ch, c in Counter(text).items():
         if ch.isalpha():
-            counts[ch.lower() if fold_case and len(ch.lower()) == 1 else ch] += c
+            counts[fold_letters(ch) if fold_case else ch] += c
     spaces = len(text.split()) - 1 + text[0].isspace() + text[-1].isspace() if text else 0
     total = spaces + sum(counts.values())
     if total == 0:
@@ -180,8 +189,8 @@ def _check_labels(labels: list[str]) -> list[str]:
     ordered = sorted(labels)  # a label's extensions sort right after it
     for prev, label in zip(ordered, ordered[1:]):
         if label.startswith(prev):
-            raise ValueError(f"bad letter label {label!r}: labels must be nonempty, without "
-                             "whitespace or a leading '#', not 'space', nor start another label")
+            raise ValueError(f"bad letter label {quote(label)}: it starts with the label "
+                             f"{quote(prev)}, and labels must be prefix-free")
     # prefix-free, so at most one label matches where the last one ended
     spelling = re.findall("|".join(re.escape(x) for x in labels if x in EMPTY_WORD), EMPTY_WORD)
     if "".join(spelling) == EMPTY_WORD:
@@ -208,12 +217,12 @@ def loads(text: str) -> Alphabet:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected '<label> <prob>', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected '<label> <prob>', got {quote(raw)}")
         label, value = parts
         try:
             value = float(value)
         except ValueError:
-            raise ValueError(f"line {lineno}: bad probability {parts[1]!r}") from None
+            raise ValueError(f"line {lineno}: bad probability {quote(parts[1])}") from None
         if label == "space":
             if p0 is not None:
                 raise ValueError(f"line {lineno}: duplicate space line")

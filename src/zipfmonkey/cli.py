@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from . import alphabet as alphabet_mod
 from . import fit as fit_mod
 from . import pyramid, simulate
-from .errors import BoundViolationError, ResourceGuardError
+from .errors import BoundViolationError, ResourceGuardError, quote
 from .gamma import log_weights, rescale_weights, solve_gamma
 
 _WRITE_CHARS = 1 << 18  # characters gathered before a write
@@ -199,8 +199,8 @@ def _rank_row(row: tuple[str, str]) -> tuple[int, float]:
     try:
         return int(row[0]), float(row[1])
     except ValueError:
-        raise ValueError(f"row {row[0]!r} {row[1]!r} is not rank<TAB>freq, which a table is "
-                         "read as unless every second column is an integer") from None
+        raise ValueError(f"row {quote(row[0])} {quote(row[1])} is not rank<TAB>freq, which a "
+                         "table is read as unless every second column is an integer") from None
 
 
 def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
@@ -227,7 +227,7 @@ def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
             for raw in fh:
                 s = raw.strip()
                 if s and s[0] != "#" and len(s.split("\t") if "\t" in s else s.split()) != 2:
-                    raise ValueError(f"expected 2 columns, got {raw!r}")
+                    raise ValueError(f"expected 2 columns, got {quote(raw)}")
         raise ValueError(f"{path} changed while it was read")
     words, values = cells[0::2], cells[1::2]
     try:
@@ -279,12 +279,13 @@ def _cmd_compare(args) -> Output:
 
 
 def _tokenize_words(text: str, fold_case: bool = True) -> dict[str, int]:
-    """Letters-only words per whitespace token; each distinct token is filtered once."""
+    """Letters-only words per whitespace token; each distinct token is filtered once,
+    and folded letter by letter as the estimated alphabet folds its letters."""
     counts: dict[str, int] = {}
     for token, c in Counter(text.split()).items():
         word = "".join(ch for ch in token if ch.isalpha())
         if fold_case:
-            word = word.lower()
+            word = alphabet_mod.fold_letters(word)
         if word:
             counts[word] = counts.get(word, 0) + c
     return counts

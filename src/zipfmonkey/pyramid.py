@@ -220,11 +220,10 @@ def q_tilde_direct(
 ) -> int:
     """Exact number of words with weight <= x, by lattice-region summation.
 
-    Extended with zero for x < 0.  Boundary lattice points within TIE_EPS
-    of x are counted, so probability queries are inclusive.
+    Boundary lattice points within TIE_EPS of x are counted, so probability
+    queries are inclusive: 0 below -TIE_EPS, and 1 (the empty word) from
+    there up to the lightest letter's weight.  x must be finite.
     """
-    if x < 0:
-        return 0
     grid = weights.grid
     return _region_sum(grid, grid.threshold(x), node_budget)
 
@@ -233,8 +232,6 @@ def q_tilde_recursive(
     weights: WeightVector, x: float, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
     """Same value as q_tilde_direct, via the memoized functional equation."""
-    if x < 0:
-        return 0
     grid = weights.grid
     return _memo_sum(grid, grid.threshold(x), node_budget)
 
@@ -278,7 +275,6 @@ def rank_of_probability(
         raise ValueError(
             f"no word has probability {f} > p0 = {p0}; the empty word is the maximum"
         )
-    x = max(x, 0.0)  # f == p0 up to rounding
     return q_tilde_direct(log_weights(alphabet), x, node_budget=node_budget)
 
 
@@ -293,8 +289,9 @@ def _iter_levels(
     A level is complete when yielded: it opens at a lattice point of weight
     w0 and closes at the first popped point heavier than w0 + TIE_EPS.  With
     a bound, levels open up to x + TIE_EPS, so points are pushed up to
-    x + 2 * TIE_EPS and the walk ends at the first level opening beyond.
-    The bound is checked at the call; with None the caller must stop reading.
+    x + 2 * TIE_EPS and the walk ends at the first level opening beyond
+    (none below -TIE_EPS).  A bound must be finite, checked at the call;
+    with None the caller must stop reading.
 
     A multiset k of tie groups (sizes g_j, by weight) is walked as its
     nondecreasing group sequence.  A node (w, words, j, m, length, points)
@@ -310,6 +307,8 @@ def _iter_levels(
 
 
 def _walk(grid: _Grid, T: int | None, budget: int) -> Iterator[tuple[float, int]]:
+    if T is not None and T < 0:  # the loop never checks the first level against T
+        return
     w, g, tie, denom = grid
     last = len(w) - 1
     reach = math.inf if T is None else T + tie  # the last level's own tie
@@ -350,16 +349,14 @@ def level_rows(
     """Yield the probability classes as (weight, rank_lo, rank_hi, log_prob).
 
     Exactly one bound, checked at the call: complete levels until the rank
-    reaches max_rank, or every level with weight <= max_weight.  Weights
-    within TIE_EPS are one level.  ResourceGuardError replaces the level
-    that the node budget cuts.
+    reaches max_rank, or every level with weight <= max_weight, which must
+    be finite (none below -TIE_EPS).  Weights within TIE_EPS are one level.
+    ResourceGuardError replaces the level that the node budget cuts.
     """
     if (max_rank is None) == (max_weight is None):
         raise ValueError("specify exactly one of max_rank, max_weight")
     if max_rank is not None and max_rank < 1:
         raise ValueError(f"rank budget must be positive, got {max_rank}")
-    if max_weight is not None and max_weight < 0:
-        raise ValueError(f"weight budget must be nonnegative, got {max_weight}")
     p0 = alphabet.space_prob
     if p0 <= 0.0:
         raise ValueError("levels need a positive space probability")
@@ -417,9 +414,10 @@ def weight_events(
 
     Returns (x, Q(x)) pairs, ascending, one per level: weights within
     TIE_EPS are one level, as in enumerate_levels, and levels are counted
-    up to x_max + TIE_EPS.  So each Q(x) equals q_tilde_direct at its x.
+    up to x_max + TIE_EPS (none when x_max < -TIE_EPS), so each Q(x) equals
+    q_tilde_direct at its x.  x_max must be finite.
     """
-    return [] if x_max < 0 else list(_iter_levels(weights, x_max, node_budget))
+    return list(_iter_levels(weights, x_max, node_budget))
 
 
 # Relative padding applied to the exact base extrema so the strict
@@ -441,9 +439,10 @@ def verify_bounds(
     shifted count is constant on each event interval [e, e'), so its
     supremum there is q(e) and its infimum is the limit at e'.  The strict
     envelope c1 < q(x) < c2 is then checked on every event interval up to
-    x_max.  A failed check raises BoundViolationError; it cannot happen for
-    genuinely normalized weights since the envelope propagates through the
-    recurrence with factor sum(exp(-L_i)) = 1.
+    x_max, which must be finite and exceed L_max.  A failed check raises
+    BoundViolationError; it cannot happen for genuinely normalized weights
+    since the envelope propagates through the recurrence with factor
+    sum(exp(-L_i)) = 1.
     """
     n = weights.n
     if n < 2:
@@ -453,6 +452,7 @@ def verify_bounds(
             f"weights must be normalized: sum(exp(-L_i)) = 1 within {RESIDUAL_TOL}, "
             f"defect {weights.normalization_defect}"
         )
+    jumps = _iter_levels(weights, x_max, node_budget)  # refuses a bound that is not finite
     if not x_max > weights.L_max:
         raise ValueError(
             f"x_max ({x_max}) must exceed the base interval end L_max "
@@ -463,7 +463,6 @@ def verify_bounds(
     shift = 1.0 / (n - 1)
 
     def intervals():  # (x, sup, inf) per event interval [x, next), one exp per jump
-        jumps = _iter_levels(weights, x_max, node_budget)
         x, q = next(jumps)
         e = math.exp(-x)
         for nxt, q_nxt in jumps:

@@ -289,15 +289,17 @@ class TestLabelRule:
         [
             (["a", "ab", "b"], "ab"),  # "a"+"b" and "ab" render alike
             (["ba", "b", "c"], "ba"),
+            (["a", "b", "a"], "a"),  # a duplicate starts with itself
         ],
     )
     def test_label_rejected(self, labels, bad):
+        prev = min(x for x in labels if bad.startswith(x))  # the label it starts with
         text = "space 0.25\n" + "".join(f"{label} 0.25\n" for label in labels)
         with pytest.raises(ValueError) as exc:
             am.loads(text)
         assert str(exc.value) == (
-            f"bad letter label {bad!r}: labels must be nonempty, without whitespace or "
-            "a leading '#', not 'space', nor start another label"
+            f"bad letter label {bad!r}: it starts with the label {prev!r}, "
+            "and labels must be prefix-free"
         )
 
     def test_space_label_is_a_second_space_line(self):

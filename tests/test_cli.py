@@ -373,7 +373,7 @@ class TestSimulateCommand:
             capsys, "simulate", "--alphabet", str(path), "--n-words", "100", "--seed", "1"
         )
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: bad letter label {bad!r}: labels must be nonempty")
+        assert err.startswith(f"error: bad letter label {bad!r}: it starts with the label")
 
     @pytest.mark.parametrize("labels", [["<", "EPS>", "b"], ["<EPS>", "b"]])
     def test_labels_that_spell_the_empty_word_exit_2(self, capsys, tmp_path, labels):
@@ -718,9 +718,12 @@ def tokenize_per_occurrence(text, fold_case=True):
     """The tokenizer as first written: every token occurrence filtered anew."""
     counts = {}
     for token in text.split():
-        word = "".join(ch for ch in token if ch.isalpha())
-        if fold_case:
-            word = word.lower()
+        # each letter folded alone, as the alphabet folds it: a letter whose
+        # lower case is two code points (U+0130) stays as it is
+        word = "".join(
+            ch.lower() if fold_case and len(ch.lower()) == 1 else ch
+            for ch in token if ch.isalpha()
+        )
         if word:
             counts[word] = counts.get(word, 0) + 1
     return counts
@@ -735,8 +738,9 @@ def tokenize_per_occurrence(text, fold_case=True):
         "Straße STRASSE straße strasse ẞ",
         "r2d2 R2D2 42 4x4 -- ... ¿qué? qué",
         "",
+        "ΣΑΣ σασ ΟΔΟΣ οδος",
     ],
-    ids=["ascii", "dotted-capital-i", "sharp-s", "digits-punctuation", "empty"],
+    ids=["ascii", "dotted-capital-i", "sharp-s", "digits-punctuation", "empty", "final-sigma"],
 )
 def test_tokenize_counts_each_distinct_token_once(text, fold_case):
     assert cli_mod._tokenize_words(text, fold_case) == tokenize_per_occurrence(text, fold_case)
@@ -758,11 +762,15 @@ class TestExitCodes:
         ("levels", "--max-weight", "inf"),
         ("levels", "--max-weight", "nan"),
         ("certify", "--x-max", "inf"),
+        ("qfun", "--x-max", "-inf"),
+        ("levels", "--max-weight", "-inf"),
+        ("certify", "--x-max", "-inf"),
+        ("certify", "--x-max", "nan"),
     ])
     def test_non_finite_bound_names_the_rule(self, capsys, tmp_path, command, option, value):
         out_path = tmp_path / "out.tsv"
         code, out, err = run(
-            capsys, command, "--gusein-zade", "5", "--p0", "0.18", option, value,
+            capsys, command, "--gusein-zade", "5", "--p0", "0.18", f"{option}={value}",
             "--out", str(out_path),
         )
         assert code == 2
@@ -770,15 +778,12 @@ class TestExitCodes:
         assert out == ""
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("command, option, code, expected", [
-        ("qfun", "--x-max", 0, "# columns: x\tq"),  # no jump lies at or below -inf
-        ("levels", "--max-weight", 2, "weight budget must be nonnegative, got -inf"),
-        ("certify", "--x-max", 2, "x_max (-inf) must exceed the base interval end"),
-    ])
-    def test_minus_infinity_bound(self, capsys, command, option, code, expected):
-        got, out, err = run(capsys, command, "--gusein-zade", "5", "--p0", "0.18", f"{option}=-inf")
-        assert got == code
-        assert expected in (out.splitlines()[-1] if code == 0 else err)
+    @pytest.mark.parametrize("command, option", [("qfun", "--x-max"), ("levels", "--max-weight")])
+    def test_bound_below_the_empty_word_lists_nothing(self, capsys, command, option):
+        # -1 + TIE_EPS < 0: not even the empty word is counted
+        code, out, err = run(capsys, command, "--gusein-zade", "5", "--p0", "0.18", f"{option}=-1")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2 and out.startswith(f"# format: v1 {command}\n")
 
     def test_resource_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("ZIPFMONKEY_NODE_BUDGET", "50")
@@ -1223,7 +1228,7 @@ class TestLightImport:
 
 # NaN, infinities, negatives, zero and a tiny positive: each option draws one
 # of these a quarter of the time and a plain value otherwise
-ODD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e-300"]
+ODD_NUMBERS = ["nan", "inf", "-inf", "-1", "-5e-10", "0", "1e-300"]
 ALPHABET_COMMANDS = ("gamma", "levels", "qfun", "certify", "simulate", "compare")
 # per command: option -> plain values (None: a flag; a str: a kind of input
 # file; a tuple of options: one of them, as for an exclusive group)
@@ -1259,6 +1264,7 @@ CONTRACT_FILES = {
         "prefix.json": '{"letters": {"a": 0.3, "ab": 0.2, "b": 0.3}, "space": 0.2}',
         "hash.json": '{"letters": {"a": 0.3, "#": 0.2, "b": 0.3}, "space": 0.2}',
         "json_format.json": '{"letters": {"a": 0.5, "b": 0.3}, "space": 0.2}',
+        "long_line.txt": "space 0.2\n" + "w" * 200_000 + "\n",
     },
     "corpus": {
         "empty.txt": "",
@@ -1277,6 +1283,8 @@ CONTRACT_FILES = {
         "negative_counts.tsv": "x\t-3\ny\t3\nz\t1\n",
         "ok_ranks.tsv": "".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)),
         "ok_words.tsv": "".join(f"w{i}\t{100 // i}\n" for i in range(1, 31)),
+        "long_one_column.tsv": "w" * 200_000 + "\n",
+        "long_word.tsv": "w" * 200_000 + "\t0.5\n",
     },
 }
 WINDOWS = [["-5", "-1"], ["0", "0"], ["5", "1"], ["1", "3"], ["1", "1000"], ["10", "30"]]
@@ -1350,3 +1358,16 @@ class TestExitCodeContract:
             code = main(argv)
         assert code in range(5)
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("command, kind, name", [
+        ("gamma", "alphabet", "long_line.txt"),
+        ("fit", "tsv", "long_one_column.tsv"),
+        ("fit", "tsv", "long_word.tsv"),
+    ])
+    def test_long_line_is_quoted_in_part(self, capsys, tmp_path, command, kind, name):
+        path = tmp_path / name
+        path.write_text(CONTRACT_FILES[kind][name], encoding="utf-8")
+        option = "--alphabet" if kind == "alphabet" else "--in"
+        code, out, err = run(capsys, command, option, str(path))
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300

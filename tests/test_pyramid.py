@@ -555,9 +555,8 @@ class TestEnumerateLevels:
             enumerate_levels(al, max_weight=bound)
         with pytest.raises(ValueError, match=rule):
             weight_events(log_weights(al), bound)
-        if bound == math.inf:  # a NaN x_max fails the base interval check first
-            with pytest.raises(ValueError, match=rule):
-                verify_bounds(rescale_weights(al, solve_gamma(al)), bound)
+        with pytest.raises(ValueError, match=rule):
+            verify_bounds(rescale_weights(al, solve_gamma(al)), bound)
 
     def test_node_budget_truncates_cleanly(self):
         table = enumerate_levels(make_uniform(3, 0.1), max_rank=10**6, node_budget=500)
@@ -618,6 +617,52 @@ class TestFunctionalEquation:
             for _ in range(20):
                 x = rng.uniform(-2.0, 12.0)
                 assert functional_equation_residual(wv, x) == 0
+
+
+BOUND_RULE_ALPHABETS = {
+    "gz5": make_gusein_zade(5, 0.18),
+    "u26": make_uniform(26, 0.18),
+    "tied": make_explicit((0.3, 0.3, 0.2), 0.2),  # two groups, one of them tied
+}
+
+
+class TestOneBoundRule:
+    """Every exact entry point counts the words of weight up to x + TIE_EPS,
+    negative x included, and refuses a bound that is not finite alike."""
+
+    @pytest.mark.parametrize("x", [-1.0, -2e-9, -1e-9, -5e-10, -1e-12, -0.0, 0.0, 5e-10, 2.5])
+    @pytest.mark.parametrize("name", sorted(BOUND_RULE_ALPHABETS))
+    def test_entry_points_agree(self, name, x):
+        al = BOUND_RULE_ALPHABETS[name]
+        wv = log_weights(al)
+        events = weight_events(wv, x)
+        counts = {
+            q_tilde_direct(wv, x),
+            q_tilde_recursive(wv, x),
+            events[-1][1] if events else 0,
+            enumerate_levels(al, max_weight=x).max_rank,
+        }
+        if x < 1.0:  # below every letter's weight: the empty word alone, from -TIE_EPS on
+            assert counts == {int(x >= -TIE_EPS)}
+        assert len(counts) == 1
+        assert functional_equation_residual(wv, x) == 0
+
+    @pytest.mark.parametrize("bound", [-math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize("name", sorted(BOUND_RULE_ALPHABETS))
+    def test_non_finite_bound_refused(self, name, bound):
+        al = BOUND_RULE_ALPHABETS[name]
+        wv = log_weights(al)
+        calls = [
+            lambda: q_tilde_direct(wv, bound),
+            lambda: q_tilde_recursive(wv, bound),
+            lambda: weight_events(wv, bound),
+            lambda: enumerate_levels(al, max_weight=bound),
+            lambda: functional_equation_residual(wv, bound),
+            lambda: verify_bounds(rescale_weights(al, solve_gamma(al)), bound),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^weight bound must be a finite number, got "):
+                call()
 
 
 def product_levels(wv, bound, tie):

@@ -208,17 +208,20 @@ def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
 
     Parsed in bulk: the data lines (stripped, neither blank nor '#'), a line's
     whitespace columns joined by a tab if it holds none, are joined by tabs
-    and split once."""
+    and split once.  Each distinct count string is parsed once, and one set
+    of the words finds a repeated word: only then is a dict of the words
+    built, in which the last row of a word wins."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    # split as file iteration splits (on "\n" after newline translation), not by splitlines
-    rows = [s if "\t" in s else "\t".join(s.split())
+    # split as file iteration splits (on "\n" after newline translation), not by splitlines;
+    # a line of one column becomes three empty cells, so the cell count below fails on it
+    rows = [s if "\t" in s else t if "\t" in (t := "\t".join(s.split())) else "\t\t"
             for s in map(str.strip, text.split("\n")) if s and s[0] != "#"]
     del text
     if not rows:
         raise ValueError(f"no data rows in {path}")
     n_rows = len(rows)
-    joined = "\t".join(rows) if all("\t" in s for s in rows) else ""
+    joined = "\t".join(rows)
     del rows  # not held while the cells are split and the counts ranked
     cells = joined.split("\t")
     del joined
@@ -231,11 +234,15 @@ def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
         raise ValueError(f"{path} changed while it was read")
     words, values = cells[0::2], cells[1::2]
     try:
-        counts = dict(zip(words, map(int, values)))  # a repeated word: the last row wins
+        int(values[0])  # a rank table fails over here, before the set of values is built
+        parsed = {v: int(v) for v in set(values)}
     except ValueError:
         pts = sorted(map(_rank_row, zip(words, values)))  # one run per rank: gaps allowed
         return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
-    return simulate.empirical_rank_freq(counts.values())
+    counts = map(parsed.__getitem__, values)
+    if len(set(words)) < n_rows:  # a repeated word: the last row wins
+        counts = dict(zip(words, counts)).values()
+    return simulate.empirical_rank_freq(counts)
 
 
 def _fit_from_args(args) -> tuple[fit_mod.FitResult, simulate.RankFrequency]:

@@ -563,7 +563,8 @@ def read_outcome(reader, path):
 _WS = "\x0b\x0c\x85\u2028 "  # whitespace to str.strip and str.split, not to file iteration
 _WORD = st.text("ab7", min_size=1, max_size=3)  # numeric words among them
 _CELL = st.builds(str.__add__, _WORD, st.text("ab7" + _WS, max_size=3))  # of a tab row
-_COUNT = st.one_of(st.integers(1, 40).map(str), st.sampled_from(["+3", " 4", "1_0"]))
+_COUNT = st.one_of(st.integers(1, 40).map(str),
+                   st.sampled_from(["+3", " 4", "1_0", "03", "\u0663"]))  # int() reads each
 _VALUE = st.one_of(_COUNT, st.integers(-1, 0).map(str), st.floats(1e-4, 1.0).map(repr),
                    st.just("x"))
 _EDGE = st.sampled_from(["", "", " ", "\t", "\x0c", "\u2028"])  # around a row
@@ -610,6 +611,8 @@ class TestBulkReader:
     @example(text="w\t3\r\nv 2\rz\t3\t\n# c\r\n\n")
     @example(text="a\x85b\t2\nc\x0bd\t1\n")  # one row each: not line ends to a file
     @example(text="w\t3\nv\t1\nw\t1\n")  # the last row of w wins
+    @example(text="w\t3\nv\t+3\nu\t03\nw\t\u0663\nz\t1_0\n")  # spellings int() merges
+    @example(text="w\t3\nv\t2\nu\t1\nz\t0.5\n")  # the one non-integer is in the last row
     @example(text="1\t0.5\n2\t0.25\n3 0.125\n")
     @example(text="w\t3\nv\t2\t\tx\r")  # a bad last line with no newline
     @example(text="w\t3\nv\nu\t1\t2\n")  # 1 and 3 columns: as many cells as 2 and 2
@@ -620,6 +623,31 @@ class TestBulkReader:
         path.write_bytes(text.encode("utf-8"))
         expected = read_outcome(reference_rank_freq, path)
         assert read_outcome(cli_mod._rank_freq_from_file, path) == expected
+
+
+class TestWordTableRoundTrip:
+    """A simulated table read back whole: counts repeat, words do not."""
+
+    @pytest.mark.parametrize(
+        "source, p0, n_words",
+        [(("--gusein-zade", 5), "0.18", 20_000), (("--uniform", 26), "0.037037", 10_000)],
+        ids=["gz5", "u26"],
+    )
+    def test_equals_the_simulated_counts(self, capsys, tmp_path, source, p0, n_words):
+        (flag, n), path = source, tmp_path / "words.tsv"
+        argv = ["simulate", flag, str(n), "--p0", p0, "--n-words", str(n_words), "--seed", "1"]
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+        al = (make_gusein_zade if flag == "--gusein-zade" else make_uniform)(n, float(p0))
+        table = simulate.generate_words(al, n_words, 1)
+        expected = simulate.empirical_rank_freq(table.entries.values())
+        assert cli_mod._rank_freq_from_file(path) == expected
+        # rows reversed, then the first word (now the rarest) again with another count
+        rows = [line for line in path.read_text().splitlines() if line[0] != "#"][::-1]
+        word, count = rows[0].split("\t")
+        path.write_text("".join(f"{row}\n" for row in rows) + f"{word}\t{int(count) + 5}\n")
+        points = cli_mod._rank_freq_from_file(path)
+        assert points == reference_rank_freq(path)
+        assert points != expected
 
 
 class _RecordingStdout:
@@ -1225,6 +1253,18 @@ class TestLightImport:
         expected = solve_gamma(am.estimate_from_corpus((workdir / "corpus.txt").read_text()))
         assert kv((workdir / "g.txt").read_text())["gamma"] == repr(expected.gamma)
 
+    def test_word_table_commands_load_no_heavy_module(self, workdir):
+        rows = "".join(f"w{i}\t{100 // i}\n" for i in range(1, 31))
+        (workdir / "words.tsv").write_text(rows + "w2\t7\n")  # w2 repeated: the dict path
+        code = (
+            "from zipfmonkey.cli import main\n"
+            "assert main(['fit', '--in', 'words.tsv', '--out', 'f.txt']) == 0\n"
+            "assert main(['compare', '--in', 'words.tsv', '--gusein-zade', '5', '--p0', '0.18',"
+            " '--out', 'c.txt']) == 0"
+        )
+        assert heavy_modules_loaded(code, workdir) == []
+        assert (workdir / "c.txt").read_text().startswith("# format: v1 compare\n")
+
 
 # NaN, infinities, negatives, zero and a tiny positive: each option draws one
 # of these a quarter of the time and a plain value otherwise
@@ -1302,23 +1342,24 @@ def cli_argv(draw, paths):
     if command in ALPHABET_COMMANDS:
         source = draw(st.sampled_from(["--uniform", "--gusein-zade", "--alphabet", "--corpus", None]))
         if source in ("--uniform", "--gusein-zade"):
-            argv += [source, draw(odd_or(["2", "3", "26", "50", str(10**12), "x"]))]
+            argv.append(f"{source}={draw(odd_or(['2', '3', '26', '50', str(10**12), 'x']))}")
         elif source is not None:
             argv += [source, draw(paths[source.lstrip("-")])]
         if draw(st.integers(0, 7)):
-            argv += ["--p0", draw(odd_or(["0.2", "0.5", "0.9"]))]
+            argv.append(f"--p0={draw(odd_or(['0.2', '0.5', '0.9']))}")
     for option, values in COMMAND_OPTIONS[command].items():
         if not draw(st.integers(0, 7)):  # leave required options out now and then
             continue
         if isinstance(option, tuple):
             option = draw(st.sampled_from(option))
-        argv.append(option)
-        if values == "window":
-            argv += draw(st.sampled_from(WINDOWS))
+        if values == "window":  # argparse reads "-5" after --window as a number
+            argv += [option, *draw(st.sampled_from(WINDOWS))]
         elif isinstance(values, str):
-            argv.append(draw(paths[values]))
-        elif values is not None:
-            argv.append(draw(odd_or(values)))
+            argv += [option, draw(paths[values])]
+        elif values is None:
+            argv.append(option)
+        else:  # one argument, or argparse takes "-inf" and "-5e-10" for option names
+            argv.append(f"{option}={draw(odd_or(values))}")
     if draw(st.integers(0, 4)) == 0:
         argv += ["--out", draw(paths["out"])]
     return argv
@@ -1358,6 +1399,7 @@ class TestExitCodeContract:
             code = main(argv)
         assert code in range(5)
         assert "Traceback" not in err.getvalue()
+        assert "expected one argument" not in err.getvalue()
 
     @pytest.mark.parametrize("command, kind, name", [
         ("gamma", "alphabet", "long_line.txt"),

@@ -211,7 +211,9 @@ def loads(text: str) -> Alphabet:
     p0 = None
     labels: list[str] = []
     probs: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n", "\r\n" or "\r", as reading a file ends them; splitlines
+    # would also end them at "\f", "\v", "\x85" and the like
+    for lineno, raw in enumerate(re.split("\r\n?|\n", text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

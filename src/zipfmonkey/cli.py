@@ -133,10 +133,6 @@ def _cmd_levels(args) -> Output:
     def rows():
         try:
             for weight, lo, hi, log_prob in levels:
-                if args.no_empty_word:  # drop rank 1, the empty word, and shift down
-                    lo, hi = max(lo, 2) - 1, hi - 1
-                    if hi < lo:
-                        continue
                 yield f"{lo}\t{hi}\t{log_prob / ln10!r}\t{weight!r}\t{hi - lo + 1}"
         except ResourceGuardError:  # raised in place of the partial level
             yield (
@@ -184,9 +180,7 @@ def _cmd_simulate(args) -> Output:
         raise UsageError("--seed is required when --out is set (reproducible archives)")
     al = _resolve_alphabet(args)
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big")
-    table = simulate.generate_words(
-        al, args.n_words, seed, skip_empty=args.skip_empty, word_cap=args.word_cap
-    )
+    table = simulate.generate_words(al, args.n_words, seed, word_cap=args.word_cap)
     header = [
         "# format: v1 word_count",
         f"# n_words={table.total_words} seed={seed}",
@@ -197,10 +191,12 @@ def _cmd_simulate(args) -> Output:
 
 def _rank_row(row: tuple[str, str]) -> tuple[int, float]:
     try:
-        return int(row[0]), float(row[1])
+        if 0.0 < (freq := float(row[1])) <= 1.0:
+            return int(row[0]), freq
     except ValueError:
-        raise ValueError(f"row {quote(row[0])} {quote(row[1])} is not rank<TAB>freq, which a "
-                         "table is read as unless every second column is an integer") from None
+        pass
+    raise ValueError(f"row {quote(row[0])} {quote(row[1])} is not rank<TAB>freq, which a "
+                     "table is read as unless every second column is an integer")
 
 
 def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
@@ -357,10 +353,6 @@ def build_parser() -> _Parser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--max-rank", type=int, help="enumerate levels through this rank")
     g.add_argument("--max-weight", type=float, help="enumerate levels up to this weight")
-    p.add_argument(
-        "--no-empty-word", action="store_true",
-        help="drop the empty word and shift ranks down by one (reporting only)",
-    )
     p.set_defaults(func=_cmd_levels)
 
     p = sub.add_parser("qfun", parents=[out, source], help="counting function at its jump points")
@@ -378,7 +370,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--n-words", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--skip-empty", action="store_true", help="drop empty words, renormalize")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(

@@ -180,15 +180,13 @@ def generate_words(
     word_count: int,
     seed: int,
     *,
-    skip_empty: bool = False,
     word_cap: int = DEFAULT_WORD_CAP,
 ) -> FrequencyTable:
     """Draw exactly word_count words from the model distribution.
 
     Requires p0 > 0 (a zero space probability never terminates a word).
-    Empty words count as occurrences of the empty word unless skip_empty is
-    set, in which case they are dropped and the table renormalizes over the
-    remaining words; if every word drawn is empty, that is a ValueError.
+    An empty word counts as an occurrence of the empty word "", which the
+    table keeps like any other word.
     """
     if alphabet.space_prob <= 0.0:
         raise ValueError("simulation requires a positive space probability")
@@ -208,12 +206,7 @@ def generate_words(
 
     # the stream SeedSequence(seed).spawn(1)[0], so a seed draws what it always drew
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
-    counts = _generate_stream(alphabet, word_count, rng, word_cap)
-    if skip_empty:
-        counts.pop("", None)
-        if not counts:
-            raise ValueError(f"skip_empty dropped all {word_count} words drawn with seed {seed}")
-    return FrequencyTable(counts)
+    return FrequencyTable(_generate_stream(alphabet, word_count, rng, word_cap))
 
 
 def empirical_rank_freq(counts: Iterable[int]) -> RankFrequency:

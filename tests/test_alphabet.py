@@ -261,6 +261,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 2"):
             am.loads("space 0.2\na 0.4 extra\n")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_end_at_each_newline_form(self, newline):
+        text = newline.join(["# format: v1 alphabet", "space 0.5", "a 0.25", "b 0.25", ""])
+        assert am.loads(text) == make_explicit((0.25, 0.25), 0.5)
+        with pytest.raises(ValueError, match="^line 4: expected '<label> <prob>', got 'bad'$"):
+            am.loads(text.replace("b 0.25", "bad"))
+
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_newlines_end_a_line(self, sep):
+        # str.splitlines ends a line at these too, reading a file does not:
+        # inside a line they are whitespace, as between a label and its probability
+        assert am.loads(f"space 0.5\na{sep}0.25\nb 0.25\n") == make_explicit((0.25, 0.25), 0.5)
+        with pytest.raises(ValueError, match="^line 4: expected '<label> <prob>', got 'bad'$"):
+            am.loads(f"# one{sep}# two\nspace 0.5\na 0.25\nbad\nb 0.25\n")
+
     @pytest.mark.parametrize(
         "doc",
         [

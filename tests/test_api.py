@@ -1,13 +1,18 @@
 """The package's public names and each command's options: a change to them is deliberate."""
 
 import argparse
+import ast
 import importlib.util
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import zipfmonkey
 from zipfmonkey.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 PUBLIC_NAMES = [
     "Alphabet",
@@ -62,7 +67,7 @@ PARAMETERS = {
     "enumerate_levels": ["alphabet", "max_rank", "max_weight", "node_budget"],
     "estimate_from_corpus": ["text", "fold_case"],
     "functional_equation_residual": ["weights", "x", "node_budget"],
-    "generate_words": ["alphabet", "word_count", "seed", "skip_empty", "word_cap"],
+    "generate_words": ["alphabet", "word_count", "seed", "word_cap"],
     "log_weights": ["alphabet"],
     "make_explicit": ["probs", "p0", "labels"],
     "make_gusein_zade": ["n", "p0"],
@@ -98,13 +103,9 @@ COMMAND_OPTIONS = {
     "fit": ["--help", "--in", "--out", "--plot-data", "--window", "-h"],
     "gamma": sorted(["--help", "--out", "-h", *ALPHABET]),
     "ingest": ["--alphabet-out", "--corpus", "--help", "--keep-case", "--out", "-h"],
-    "levels": sorted(
-        ["--help", "--max-rank", "--max-weight", "--no-empty-word", "--out", "-h", *ALPHABET]
-    ),
+    "levels": sorted(["--help", "--max-rank", "--max-weight", "--out", "-h", *ALPHABET]),
     "qfun": sorted(["--help", "--out", "--x-max", "-h", *ALPHABET]),
-    "simulate": sorted(
-        ["--help", "--n-words", "--out", "--seed", "--skip-empty", "-h", *ALPHABET]
-    ),
+    "simulate": sorted(["--help", "--n-words", "--out", "--seed", "-h", *ALPHABET]),
 }
 
 
@@ -142,14 +143,18 @@ def test_record_accessors_are_pinned():
     assert {name: names for name, names in accessors.items() if names} == ACCESSORS
 
 
-def test_command_options_are_pinned():
+def command_options():
+    """Each subcommand's option strings, as build_parser declares them."""
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    options = {
+    return {
         name: sorted(opt for action in sub._actions for opt in action.option_strings)
         for name, sub in commands.choices.items()
     }
-    assert options == COMMAND_OPTIONS
+
+
+def test_command_options_are_pinned():
+    assert command_options() == COMMAND_OPTIONS
 
 
 def test_every_public_name_resolves():
@@ -157,10 +162,13 @@ def test_every_public_name_resolves():
         assert getattr(zipfmonkey, name) is not None, name
 
 
+def readme_section(title):
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_library_quick_start_runs():
     # the fenced Python block under "Library quick start", run as written
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("Library quick start")
     (code,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
     names = {}
     exec(compile(code, "README.md", "exec"), names)
@@ -168,9 +176,51 @@ def test_readme_library_quick_start_runs():
     assert (f"{gamma:.4f}", f"{1.0 / gamma:.4f}") == ("0.8735", "1.1448")  # as its comment says
 
 
+def test_readme_command_lines_parse():
+    # the first fenced block under "Command line": one line per command once
+    # the backslash continuations are joined, each followed by indented comments
+    block = readme_section("Command line").split("```\n")[1]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line and not line.lstrip().startswith("#")]
+    commands = []
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "zipfmonkey", line
+        commands.append(build_parser().parse_args(argv).command)  # UsageError if it fails
+    assert sorted(commands) == sorted(COMMAND_OPTIONS)
+
+
+def test_readme_names_every_option_and_no_other():
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
+    declared = {opt for opts in command_options().values() for opt in opts if opt[1] == "-"}
+    assert named == declared - {"--help"}
+
+
+def src_code_lines():
+    """The lines of src/zipfmonkey/*.py that are neither blank, nor a '#'
+    comment line, nor part of a module, class or function docstring."""
+    total = 0
+    for path in sorted((ROOT / "src" / "zipfmonkey").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        total += sum(1 for i, line in enumerate(text.splitlines(), 1)
+                     if line.strip() and not line.lstrip().startswith("#") and i not in docstrings)
+    return total
+
+
+def test_src_code_lines_are_pinned():
+    # a change to src/ states its size in the same diff: less code, or the
+    # capability that pays for more
+    assert src_code_lines() == 1060
+
+
 def test_version_matches_pyproject():
     # a regex, not tomllib: the package supports Python 3.10
-    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    pyproject = (ROOT / "pyproject.toml").read_text("utf-8")
     (version,) = re.findall(r'(?m)^version = "([^"]+)"$', pyproject)
     assert zipfmonkey.__version__ == version
 

@@ -144,25 +144,27 @@ class TestLevelsCommand:
         assert float(rows[0][3]) == 0.0
         assert float(rows[1][2]) == pytest.approx(math.log10(1 / 9))
 
-    def test_no_empty_word_shifts_ranks(self, capsys):
-        code, out, _ = run(
-            capsys, "levels", "--uniform", "2", "--p0", str(1 / 3),
-            "--max-rank", "7", "--no-empty-word",
+    def test_no_empty_word_option_is_gone(self, capsys, tmp_path):
+        # the rows `levels --gusein-zade 5 --p0 0.18 --max-rank 1001 --no-empty-word`
+        # printed while the option existed: the default rows (--max-rank 1000 and
+        # 1001 both end at the level of ranks 982-1011) less the empty word's,
+        # each rank one lower
+        argv = ["levels", "--gusein-zade", "5", "--p0", "0.18"]
+        out_path = tmp_path / "levels.tsv"
+        code, out, err = run(
+            capsys, *argv, "--max-rank", "1001", "--no-empty-word", "--out", str(out_path)
         )
-        rows = tsv_rows(out)
-        assert [(r[0], r[1]) for r in rows] == [("1", "2"), ("3", "6")]
+        assert (code, out) == (1, "")
+        assert "--no-empty-word" in err
+        assert not out_path.exists()
 
-    def test_no_empty_word_counts_the_shifted_span(self, capsys, tmp_path):
-        # "", a, aa and aaa weigh within TIE_EPS of 0: one level of 4 words,
-        # of which 3 remain once the empty word is dropped
-        path = tmp_path / "tied.txt"
-        path.write_text("space 2e-10\na 0.9999999997\nb 1e-10\n")
-        code, out, _ = run(
-            capsys, "levels", "--alphabet", str(path), "--max-rank", "6", "--no-empty-word",
-        )
+        code, out, _ = run(capsys, *argv, "--max-rank", "1000")
         assert code == 0
-        rows = tsv_rows(out)
-        assert [(r[0], r[1], r[4]) for r in rows] == [("1", "3", "3"), ("4", "7", "4")]
+        (empty, *rows) = tsv_rows(out)
+        assert (empty[0], empty[1], empty[4]) == ("1", "1", "1")
+        shifted = [(int(lo) - 1, int(hi) - 1, lg, w) for lo, hi, lg, w, _count in rows]
+        old = "".join(f"{lo}\t{hi}\t{lg}\t{w}\t{hi - lo + 1}\n" for lo, hi, lg, w in shifted)
+        assert sha(old) == "8a23a6a21f8f647ce24353e086a9d16dbf2da00aefc2639ec4da37dc3d8e6b41"
 
     def test_counts_in_full_decimal(self, capsys):
         code, out, _ = run(
@@ -190,8 +192,7 @@ LEVEL_SOURCES = {
 LEVEL_OPTIONS = {
     "max-rank": (["--max-rank", "3000"], None, False),
     "max-weight": (["--max-weight", "9.5"], None, False),
-    "no-empty-word": (["--max-rank", "3000", "--no-empty-word"], None, False),
-    "truncated": (["--max-rank", str(10**9), "--no-empty-word"], 400, True),
+    "truncated": (["--max-rank", str(10**9)], 400, True),
 }
 
 
@@ -219,14 +220,11 @@ def rendered_levels(al, options, budget):
     assert [(lv.weight, lv.rank_hi) for lv in levels] == jumps
     if "max_rank" in bound and not table.truncated:
         assert levels[-2].rank_hi < bound["max_rank"] <= levels[-1].rank_hi
-    rows = []
-    for lv in levels:
-        lo, hi = lv.rank_lo, lv.rank_hi
-        if "--no-empty-word" in options:
-            lo, hi = max(lo, 2) - 1, hi - 1
-            if hi < lo:
-                continue
-        rows.append(f"{lo}\t{hi}\t{lv.log_prob / math.log(10.0)!r}\t{lv.weight!r}\t{hi - lo + 1}")
+    rows = [
+        f"{lv.rank_lo}\t{lv.rank_hi}\t{lv.log_prob / math.log(10.0)!r}\t{lv.weight!r}\t"
+        f"{lv.rank_hi - lv.rank_lo + 1}"
+        for lv in levels
+    ]
     if table.truncated:
         rows.append(f"# truncated: node budget {budget} reached, trailing level dropped; "
                     "raise ZIPFMONKEY_NODE_BUDGET to allow more")
@@ -346,15 +344,23 @@ class TestSimulateCommand:
         assert out == ""
         assert "seed must be a nonnegative integer, got -1" in err
 
-    def test_skip_empty_with_no_word_left_exits_2_and_writes_nothing(self, capsys, tmp_path):
-        out_path = tmp_path / "t.tsv"
-        code, out, err = run(
-            capsys, "simulate", "--uniform", "2", "--p0", "0.99", "--n-words", "3",
-            "--seed", "1", "--skip-empty", "--out", str(out_path),
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: skip_empty dropped all 3 words drawn with seed 1\n"
+    def test_skip_empty_option_is_gone(self, capsys, tmp_path):
+        # the rows `simulate ... --seed 7 --skip-empty` printed while the option
+        # existed, under a header of n_words=16481: the default rows less <EPS>'s
+        argv = ["simulate", "--gusein-zade", "5", "--p0", "0.18", "--n-words", "20000"]
+        argv += ["--seed", "7"]
+        out_path = tmp_path / "words.tsv"
+        code, out, err = run(capsys, *argv, "--skip-empty", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert "--skip-empty" in err
         assert not out_path.exists()
+
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = tsv_rows(out)
+        assert rows[0] == ["<EPS>", str(20000 - 16481)]
+        old = "".join(f"{word}\t{count}\n" for word, count in rows[1:])
+        assert sha(old) == "52599ff56af82236acd558b35d87880bea02df52b7b263b04457a21ded78af76"
 
     def test_seed_required_with_out(self, capsys, tmp_path):
         code, _, err = run(
@@ -450,6 +456,18 @@ class TestFitAndCompare:
         assert (code, out) == (2, "")
         assert err == (
             "error: row 'w1' '0.5' is not rank<TAB>freq, which a table is read as "
+            "unless every second column is an integer\n"
+        )
+
+    def test_integer_words_with_one_fraction_name_the_rule(self, capsys, tmp_path):
+        # integer words and one count that is not an integer: the table reads
+        # as rank<TAB>freq, and its first row's frequency, 98, is out of (0, 1]
+        path = tmp_path / "misread.tsv"
+        path.write_text("".join(f"{r}\t{101 - 3 * r}\n" for r in range(1, 31)) + "31\t0.5\n")
+        code, out, err = run(capsys, "fit", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: row '1' '98' is not rank<TAB>freq, which a table is read as "
             "unless every second column is an integer\n"
         )
 
@@ -1274,13 +1292,12 @@ ALPHABET_COMMANDS = ("gamma", "levels", "qfun", "certify", "simulate", "compare"
 # file; a tuple of options: one of them, as for an exclusive group)
 COMMAND_OPTIONS = {
     "gamma": {},
-    "levels": {("--max-rank", "--max-weight"): ["1", "2.5", "100", "10000"], "--no-empty-word": None},
+    "levels": {("--max-rank", "--max-weight"): ["1", "2.5", "100", "10000"]},
     "qfun": {"--x-max": ["3", "12"]},
     "certify": {"--x-max": ["3", "12"]},
     "simulate": {
         "--n-words": ["1", "2000"],
         "--seed": ["7"],
-        "--skip-empty": None,
     },
     "fit": {"--in": "tsv", "--window": "window"},
     "compare": {"--in": "tsv", "--window": "window"},

@@ -87,20 +87,6 @@ class TestGenerateWords:
         se0 = math.sqrt(0.18 * 0.82 / n_chars)
         assert abs(table.total_words / n_chars - 0.18) <= 3 * se0
 
-    def test_skip_empty(self):
-        al = make_uniform(2, 0.5)
-        table = generate_words(al, 10_000, seed=3, skip_empty=True)
-        assert "" not in table.entries
-        assert table.total_words == sum(table.entries.values())
-        assert table.total_words < 10_000  # half the draws are empty
-
-    def test_skip_empty_refuses_a_draw_of_empty_words(self):
-        # at p0 0.99 all three words drawn with seed 1 are empty
-        al = make_uniform(2, 0.99)
-        assert generate_words(al, 3, seed=1).entries == {"": 3}
-        with pytest.raises(ValueError, match="^skip_empty dropped all 3 words drawn with seed 1$"):
-            generate_words(al, 3, seed=1, skip_empty=True)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_words(make_explicit((0.5, 0.5), 0.0), 100, seed=1)

@@ -78,29 +78,46 @@ def _resolve_alphabet(args) -> alphabet_mod.Alphabet:
     return (alphabet_mod.make_uniform if uniform else alphabet_mod.make_gusein_zade)(n, args.p0)
 
 
-def _write(path: str | None, lines: Iterable[str]) -> None:
-    """Write each item and a newline to the file at path, or to stdout if
-    none.  An item is one line, or several whole lines joined by "\n"."""
-    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-        # one write per _WRITE_CHARS or so: a write per item costs more than the
-        # join, and a write of at most _WRITE_CHARS plus one item bounds memory
-        block, size = [], 0
-        for item in lines:
-            block.append(item)
-            size += len(item) + 1
-            if size >= _WRITE_CHARS:
+def _write(outputs: list[tuple[str | None, Iterable[str]]]) -> None:
+    """Write each output's items, each with a newline, to its file, or to
+    stdout for the path None.  An item is one line, or several whole lines
+    joined by "\n".  Every file is opened before any is written, the new
+    ones first: if one cannot be opened, the files created before it are
+    removed and its OSError raised, so a missing directory leaves no file
+    and empties none.  A path named twice is refused, as its outputs would
+    mix."""
+    paths = sorted((path for path, _lines in outputs if path), key=os.path.exists)  # new first
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise UsageError(f"one file named for two outputs: {' '.join(paths)}")
+    new = [path for path in paths if not os.path.exists(path)]
+    try:
+        files = {path: open(path, "w", encoding="utf-8") for path in paths}
+    except OSError:
+        for path in filter(os.path.exists, new):  # opened before the one that failed
+            os.remove(path)
+        raise
+    for path, lines in outputs:
+        with files[path] if path else nullcontext(sys.stdout) as fh:
+            # one write per _WRITE_CHARS or so: a write per item costs more than the
+            # join, and a write of at most _WRITE_CHARS plus one item bounds memory
+            block, size = [], 0
+            for item in lines:
+                block.append(item)
+                size += len(item) + 1
+                if size >= _WRITE_CHARS:
+                    fh.write("\n".join(block) + "\n")
+                    block, size = [], 0
+            if block:
                 fh.write("\n".join(block) + "\n")
-                block, size = [], 0
-        if block:
-            fh.write("\n".join(block) + "\n")
 
 
 # --- subcommands -------------------------------------------------------------
 # Each computes its whole result, then returns (exit code, output lines), plus
 # (path, lines) for a side file (fit --plot-data, ingest --alphabet-out) that
-# main writes after the output.  Only rendering is left to the lazy lines, so a
-# command that fails writes nothing.  levels leaves its walk to them too: past
-# its checks it ends only in "# truncated".
+# main writes after the output.  Only rendering is left to the lazy lines, and
+# main opens every output file before it writes any, so a command that fails
+# writes nothing.  levels leaves its walk to them too: past its checks it ends
+# only in "# truncated".
 
 Lines = Iterable[str]
 Output = tuple[int, Lines] | tuple[int, Lines, tuple[str, Lines]]
@@ -189,18 +206,8 @@ def _cmd_simulate(args) -> Output:
     return EXIT_OK, chain(header, simulate.word_lines(table, al.labels))
 
 
-def _rank_row(row: tuple[str, str]) -> tuple[int, float]:
-    try:
-        if 0.0 < (freq := float(row[1])) <= 1.0:
-            return int(row[0]), freq
-    except ValueError:
-        pass
-    raise ValueError(f"row {quote(row[0])} {quote(row[1])} is not rank<TAB>freq, which a "
-                     "table is read as unless every second column is an integer")
-
-
 def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
-    """word<TAB>count rows when every second column is an integer, else rank<TAB>freq.
+    """The curve of a word<TAB>count table, read as simulate and ingest write it.
 
     Parsed in bulk: the data lines (stripped, neither blank nor '#'), a line's
     whitespace columns joined by a tab if it holds none, are joined by tabs
@@ -230,11 +237,13 @@ def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
         raise ValueError(f"{path} changed while it was read")
     words, values = cells[0::2], cells[1::2]
     try:
-        int(values[0])  # a rank table fails over here, before the set of values is built
         parsed = {v: int(v) for v in set(values)}
     except ValueError:
-        pts = sorted(map(_rank_row, zip(words, values)))  # one run per rank: gaps allowed
-        return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
+        for w, c in zip(words, values):  # find the first such row, to name it
+            try:
+                int(c)
+            except ValueError:
+                raise ValueError(f"row {quote(w)} {quote(c)}: count is not an integer") from None
     counts = map(parsed.__getitem__, values)
     if len(set(words)) < n_rows:  # a repeated word: the last row wins
         counts = dict(zip(words, counts)).values()
@@ -300,13 +309,13 @@ def _cmd_ingest(args) -> Output:
     counts = _tokenize_words(text, fold_case=not args.keep_case)
     if not counts:
         raise ValueError(f"no words found in {args.corpus}")
-    points = simulate.empirical_rank_freq(counts.values())
     header = [
-        "# format: v1 rank_freq",
+        "# format: v1 word_count",
         f"# source={args.corpus} words={sum(counts.values())} distinct={len(counts)}",
-        "# columns: rank\tfreq",
+        "# columns: word\tcount",
     ]
-    lines = chain(header, (f"{r}\t{f!r}" for r, f in simulate.expand_runs(points.runs)))
+    # corpus words are letters only: no "\0", "\t" or "\n", and no empty word
+    lines = chain(header, simulate.word_lines(simulate.FrequencyTable(counts), ()))
     if not args.alphabet_out:
         return EXIT_OK, lines
     al = alphabet_mod.estimate_from_corpus(text, fold_case=not args.keep_case)
@@ -325,7 +334,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     out = _Parser(add_help=False)
     out.add_argument("--out", metavar="FILE", help="write the output here, not to stdout")
-    table = _Parser(add_help=False)  # the rank-frequency table read by fit and compare
+    table = _Parser(add_help=False)  # the word<TAB>count table read by fit and compare
     table.add_argument("--in", dest="infile", required=True, metavar="FILE")
     table.add_argument("--window", type=int, nargs=2, metavar=("R_MIN", "R_MAX"))
     source = _Parser(add_help=False)  # the alphabet, read by _resolve_alphabet
@@ -373,7 +382,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
-        "fit", parents=[out, table], help="OLS power-law fit of a rank-frequency table"
+        "fit", parents=[out, table], help="OLS power-law fit of a word-count table's curve"
     )
     p.add_argument("--plot-data", metavar="FILE", help="CSV of lg_r,lg_f,lg_f_fit")
     p.set_defaults(func=_cmd_fit)
@@ -385,7 +394,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser(
-        "ingest", parents=[out], help="corpus to rank-frequency TSV and estimated alphabet"
+        "ingest", parents=[out], help="corpus to word-count TSV and estimated alphabet"
     )
     p.add_argument("--corpus", required=True, metavar="FILE")
     p.add_argument("--keep-case", action="store_true")
@@ -400,9 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.node_budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
         args.word_cap = _env_limit("ZIPFMONKEY_WORD_CAP", simulate.DEFAULT_WORD_CAP)
         code, lines, *side_files = args.func(args)
-        _write(args.out, lines)
-        for path, side_lines in side_files:
-            _write(path, side_lines)
+        _write([(args.out, lines), *side_files])
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

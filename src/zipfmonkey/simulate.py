@@ -238,10 +238,12 @@ def word_lines(table: FrequencyTable, labels: Sequence[str]) -> Iterator[str]:
     count by .replace("\n", "\t{c}\n"): one item.  Words hold no code
     point 0, and letters 9 and 10 (the code points of "\t" and "\n") are
     translated before any "\n" is read as a separator, so the lines are
-    exact whenever no label holds "\n".  0 maps to one ASCII character, not
-    to "\t{c}\n", so that ASCII words under one-character ASCII labels keep
-    the ASCII fast path of str.translate.  The empty word, first in its
-    run, is an item of its own.
+    exact whenever no label holds "\n".  A code point with no label is
+    written as itself: with no labels, the words are written as they are,
+    exact whenever none holds "\0", "\t" or "\n".  0 maps to one ASCII
+    character, not to "\t{c}\n", so that ASCII words under one-character
+    ASCII labels keep the ASCII fast path of str.translate.  The empty word,
+    first in its run, is an item of its own.
     """
     buckets: defaultdict[int, list[Word]] = defaultdict(list)
     for word, c in table.entries.items():

@@ -34,7 +34,7 @@ from zipfmonkey import cli as cli_mod
 from zipfmonkey import fit as fit_mod
 from zipfmonkey import simulate
 from zipfmonkey.cli import main
-from zipfmonkey.errors import BoundViolationError
+from zipfmonkey.errors import BoundViolationError, quote
 
 
 def run(capsys, *argv):
@@ -68,9 +68,9 @@ def seeded_corpus(seed, chars, letters):
 
 @pytest.fixture
 def workdir(tmp_path):
-    """A directory holding a small corpus.txt and a rank/freq ranks.tsv."""
+    """A directory holding a small corpus.txt and a word<TAB>count table.tsv."""
     (tmp_path / "corpus.txt").write_text("the cat sat on the mat\nand then ran\n")
-    (tmp_path / "ranks.tsv").write_text("".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)))
+    (tmp_path / "table.tsv").write_text("".join(f"w{r}\t{600 // r}\n" for r in range(1, 31)))
     return tmp_path
 
 
@@ -396,15 +396,18 @@ class TestSimulateCommand:
 
 class TestFitAndCompare:
     def test_fit_exact_line(self, capsys, tmp_path):
-        path = tmp_path / "ranks.tsv"
-        lines = ["# format: v1 rank_freq"]
-        lines += [f"{r}\t{10 ** (-1 - math.log10(r))!r}" for r in range(1, 101)]
+        # word r seen L / r times, L = lcm(1..100): frequency 1 / (r * H_100) exactly
+        path = tmp_path / "words.tsv"
+        lcm = math.lcm(*range(1, 101))
+        lines = ["# format: v1 word_count"]
+        lines += [f"w{r}\t{lcm // r}" for r in range(1, 101)]
         path.write_text("\n".join(lines) + "\n")
         code, out, _ = run(capsys, "fit", "--in", str(path), "--window", "1", "100")
         assert code == 0
         values = kv(out)
+        h_100 = math.fsum(1.0 / r for r in range(1, 101))
         assert float(values["slope"]) == pytest.approx(-1.0, abs=1e-12)
-        assert float(values["intercept"]) == pytest.approx(-1.0, abs=1e-12)
+        assert float(values["intercept"]) == pytest.approx(-math.log10(h_100), abs=1e-12)
         assert float(values["r_squared"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_simulate_fit_compare(self, capsys, tmp_path):
@@ -429,8 +432,8 @@ class TestFitAndCompare:
         )
 
     def test_plot_data(self, capsys, tmp_path):
-        path = tmp_path / "ranks.tsv"
-        path.write_text("\n".join(f"{r}\t{1 / r**1.2!r}" for r in range(1, 60)) + "\n")
+        path = tmp_path / "words.tsv"
+        path.write_text("\n".join(f"w{r}\t{round(10**6 / r**1.2)}" for r in range(1, 60)) + "\n")
         plot = tmp_path / "plot.csv"
         code, _, _ = run(
             capsys, "fit", "--in", str(path), "--window", "2", "50",
@@ -441,46 +444,33 @@ class TestFitAndCompare:
         assert lines[0] == "lg_r,lg_f,lg_f_fit"
         assert len(lines) == 50  # header + ranks 2..50
 
-    @pytest.mark.parametrize("window", [[], ["--window", "0", "3"]], ids=["default", "0-3"])
-    def test_rank_below_one_names_the_rule(self, capsys, tmp_path, window):
-        path = tmp_path / "r0.tsv"
-        path.write_text("0\t0.5\n1\t0.4\n2\t0.3\n3\t0.2\n")
-        code, out, err = run(capsys, "fit", "--in", str(path), *window)  # floats: ranks
-        assert (code, out) == (2, "")
-        assert err == "error: ranks start at 1, got rank 0\n"
-
-    def test_row_of_neither_kind_names_the_rule(self, capsys, tmp_path):
-        path = tmp_path / "neither.tsv"
-        path.write_text("w1\t0.5\nw2\t0.25\nw3\t0.1\n")
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("w1\t0.5\nw2\t0.25\nw3\t0.1\n", "'w1' '0.5'"),
+            ("".join(f"{r}\t{101 - 3 * r}\n" for r in range(1, 31)) + "31\t0.5\n", "'31' '0.5'"),
+            ("# format: v1 rank_freq\n1\t0.5\n2\t0.25\n3\t0.125\n", "'1' '0.5'"),
+        ],
+        ids=["word-fraction", "last-row", "rank-table"],
+    )
+    def test_count_not_an_integer_names_its_row(self, capsys, tmp_path, text, row):
+        # the first row whose count is not an integer, however many follow
+        path = tmp_path / "table.tsv"
+        path.write_text(text)
         code, out, err = run(capsys, "fit", "--in", str(path))
         assert (code, out) == (2, "")
-        assert err == (
-            "error: row 'w1' '0.5' is not rank<TAB>freq, which a table is read as "
-            "unless every second column is an integer\n"
-        )
-
-    def test_integer_words_with_one_fraction_name_the_rule(self, capsys, tmp_path):
-        # integer words and one count that is not an integer: the table reads
-        # as rank<TAB>freq, and its first row's frequency, 98, is out of (0, 1]
-        path = tmp_path / "misread.tsv"
-        path.write_text("".join(f"{r}\t{101 - 3 * r}\n" for r in range(1, 31)) + "31\t0.5\n")
-        code, out, err = run(capsys, "fit", "--in", str(path))
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: row '1' '98' is not rank<TAB>freq, which a table is read as "
-            "unless every second column is an integer\n"
-        )
+        assert err == f"error: row {row}: count is not an integer\n"
 
     @pytest.mark.parametrize("kind", ["auto", "ranks", "words"])
     def test_kind_option_is_gone(self, capsys, tmp_path, kind):
-        path = tmp_path / "ranks.tsv"
-        path.write_text("".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)))
+        path = tmp_path / "words.tsv"
+        path.write_text("".join(f"w{r}\t{600 // r}\n" for r in range(1, 31)))
         code, out, err = run(capsys, "fit", "--in", str(path), "--kind", kind)
         assert (code, out) == (1, "")
         assert err == f"usage error: unrecognized arguments: --kind {kind}\n"
 
     def test_auto_reads_numeric_words_as_words(self, capsys, tmp_path):
-        # integer counts make a word table, even with numeric words and every count 1
+        # numeric words with every count 1 are words, as in every table
         path = tmp_path / "numbers.tsv"
         path.write_text("12\t1\n3\t1\n45\t1\n7\t1\n")
         code, out, _ = run(capsys, "fit", "--in", str(path), "--window", "1", "4")
@@ -562,11 +552,12 @@ def reference_rank_freq(path):
             rows.append((parts[0], parts[1]))
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    try:
-        counts = {w: int(c) for w, c in rows}
-    except ValueError:
-        pts = sorted(map(cli_mod._rank_row, rows))
-        return simulate.RankFrequency(tuple((r, r, f) for r, f in pts))
+    counts = {}
+    for w, c in rows:
+        try:
+            counts[w] = int(c)
+        except ValueError:
+            raise ValueError(f"row {quote(w)} {quote(c)}: count is not an integer") from None
     return simulate.empirical_rank_freq(counts.values())
 
 
@@ -590,13 +581,13 @@ _EDGE = st.sampled_from(["", "", " ", "\t", "\x0c", "\u2028"])  # around a row
 
 @st.composite
 def rows_file(draw):
-    """A table of word rows, of rank rows, or of both mixed with rows of 1,
-    3 or more columns and values of neither kind; with comments and blank
-    lines, ended by \\n, \\r\\n or a lone \\r."""
-    mode = draw(st.sampled_from(["words", "ranks", "mixed"]))
-    kinds = {"words": ["row"] * 4, "ranks": ["rank"] * 4, "mixed": ["row", "rank", "one", "three"]}
+    """A table of word rows, or of word rows mixed with rows of 1, 3 or more
+    columns and counts that are not positive integers; with comments and
+    blank lines, ended by \\n, \\r\\n or a lone \\r."""
+    mode = draw(st.sampled_from(["words", "mixed"]))
+    kinds = {"words": ["row"] * 4, "mixed": ["row", "one", "three"]}
     lines = []
-    for k in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(kinds[mode] + ["comment", "blank"]))
         if kind == "row":
             value = draw(_VALUE if mode == "mixed" else _COUNT)
@@ -604,8 +595,6 @@ def rows_file(draw):
                 line = draw(_CELL) + "\t" + value
             else:
                 line = draw(_WORD) + draw(st.sampled_from([" ", "  ", "\x0b", "\x85"])) + value
-        elif kind == "rank":
-            line = str(k + 1) + draw(st.sampled_from(["\t", " "])) + repr(1.0 / (k + 1))
         elif kind == "comment":
             line = "#" + draw(_CELL) + "\t" + draw(_VALUE)
         elif kind == "blank":
@@ -631,7 +620,7 @@ class TestBulkReader:
     @example(text="w\t3\nv\t1\nw\t1\n")  # the last row of w wins
     @example(text="w\t3\nv\t+3\nu\t03\nw\t\u0663\nz\t1_0\n")  # spellings int() merges
     @example(text="w\t3\nv\t2\nu\t1\nz\t0.5\n")  # the one non-integer is in the last row
-    @example(text="1\t0.5\n2\t0.25\n3 0.125\n")
+    @example(text="1\t0.5\n2\t0.25\n3 0.125\n")  # a rank table: its first row is named
     @example(text="w\t3\nv\t2\t\tx\r")  # a bad last line with no newline
     @example(text="w\t3\nv\nu\t1\t2\n")  # 1 and 3 columns: as many cells as 2 and 2
     @example(text="w\t3\nv 1 2\n")
@@ -690,7 +679,7 @@ class TestWriteBlocks:
             items = [f"{i}\t{1.0 / (i + 1)!r}" for i in range(100_000)]
         out = _RecordingStdout()
         monkeypatch.setattr(sys, "stdout", out)
-        cli_mod._write(None, iter(items))
+        cli_mod._write([(None, iter(items))])
         assert "".join(out.writes) == "".join(item + "\n" for item in items)
         longest = max(len(item) + 1 for item in items)
         assert len(out.writes) > 2
@@ -706,9 +695,10 @@ class TestIngest:
             capsys, "ingest", "--corpus", str(corpus), "--alphabet-out", str(alpha_out)
         )
         assert code == 0
-        rows = tsv_rows(out)
-        assert float(rows[0][1]) == pytest.approx(3 / 8)  # "the" three times of 8
-        assert abs(sum(float(f) for _r, f in rows) - 1.0) < 1e-9
+        assert out.startswith("# format: v1 word_count\n")
+        # most frequent first, ties in code-point order: the rows simulate writes
+        assert tsv_rows(out) == [["the", "3"], ["cat", "2"], ["end", "1"], ["ran", "1"],
+                                 ["sat", "1"]]
         al = am.loads(alpha_out.read_text())
         assert al.n >= 2
 
@@ -742,20 +732,20 @@ class TestIngest:
     def test_corpus_without_words_is_refused(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("123 456\n--- !!!\n")
-        ranks = tmp_path / "ranks.tsv"
-        code, out, err = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(ranks))
+        table = tmp_path / "words.tsv"
+        code, out, err = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(table))
         assert (code, out, err) == (2, "", f"error: no words found in {corpus}\n")
-        assert not ranks.exists()
+        assert not table.exists()
 
     def test_ingest_output_feeds_fit(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         vocab = [f"w{chr(97 + i)}" for i in range(26)]
         words = [w for i, w in enumerate(vocab) for _ in range(26 - i)]
         corpus.write_text(" ".join(words))
-        ranks = tmp_path / "ranks.tsv"
-        code, _, _ = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(ranks))
+        table = tmp_path / "words.tsv"
+        code, _, _ = run(capsys, "ingest", "--corpus", str(corpus), "--out", str(table))
         assert code == 0
-        code, out, _ = run(capsys, "fit", "--in", str(ranks), "--window", "1", "26")
+        code, out, _ = run(capsys, "fit", "--in", str(table), "--window", "1", "26")
         assert code == 0
         assert float(kv(out)["slope"]) < 0
 
@@ -856,7 +846,7 @@ class TestExitCodes:
         ("qfun", ["--x-max", "3"]),
         ("certify", ["--x-max", "3"]),
         ("simulate", ["--n-words", "10", "--seed", "1"]),
-        ("compare", ["--in", "ranks.tsv"]),
+        ("compare", ["--in", "table.tsv"]),
     ])
     def test_alphabet_above_node_budget_exits_3_unbuilt(
         self, capsys, monkeypatch, tmp_path, source, command, options
@@ -865,7 +855,7 @@ class TestExitCodes:
             raise AssertionError("built the alphabet")
 
         monkeypatch.chdir(tmp_path)
-        Path("ranks.tsv").write_text("".join(f"{r}\t{1.0 / r}\n" for r in range(1, 20)))
+        Path("table.tsv").write_text("".join(f"w{r}\t{100 // r}\n" for r in range(1, 20)))
         monkeypatch.setattr(am, "make_uniform", no_build)
         monkeypatch.setattr(am, "make_gusein_zade", no_build)
         code, _, err = run(capsys, command, source, str(10**12), "--p0", "0.5", *options)
@@ -917,7 +907,7 @@ class TestExitCodes:
                 ["simulate", "--uniform", "2", "--p0", "0.3", "--n-words", "10", "--seed", "1"],
             ),
             # commands that use neither limit validate both as well
-            ("ZIPFMONKEY_NODE_BUDGET", ["fit", "--in", "ranks.tsv"]),
+            ("ZIPFMONKEY_NODE_BUDGET", ["fit", "--in", "table.tsv"]),
             ("ZIPFMONKEY_WORD_CAP", ["ingest", "--corpus", "corpus.txt"]),
         ],
         ids=["node-budget", "word-cap", "fit-node-budget", "ingest-word-cap"],
@@ -964,8 +954,8 @@ class TestOutputFiles:
             ["qfun", "--uniform", "3", "--p0", "0.2", "--x-max", "4"],
             ["certify", "--gusein-zade", "3", "--p0", "0.2", "--x-max", "6"],
             ["simulate", "--uniform", "3", "--p0", "0.3", "--n-words", "100", "--seed", "1"],
-            ["fit", "--in", "ranks.tsv"],
-            ["compare", "--uniform", "3", "--p0", "0.2", "--in", "ranks.tsv"],
+            ["fit", "--in", "table.tsv"],
+            ["compare", "--uniform", "3", "--p0", "0.2", "--in", "table.tsv"],
             ["ingest", "--corpus", "corpus.txt"],
         ],
         ids=lambda argv: argv[0],
@@ -994,7 +984,7 @@ class TestOutputFiles:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fit", "--in", "ranks.tsv", "--plot-data", "side.txt"],
+            ["fit", "--in", "table.tsv", "--plot-data", "side.txt"],
             ["ingest", "--corpus", "corpus.txt", "--alphabet-out", "side.txt"],
         ],
         ids=lambda argv: argv[0],
@@ -1006,8 +996,33 @@ class TestOutputFiles:
         assert (code, out) == (4, "")
         assert err.startswith("i/o error: ")
         assert not Path("side.txt").exists()
+        # the converse: a side file that cannot be opened leaves no --out file
+        side = str(Path("missing", "side.txt"))
+        code, out, err = run(capsys, *argv[:-1], side, "--out", "out.txt")
+        assert (code, out) == (4, "")
+        assert err.startswith("i/o error: ")
+        assert not Path("out.txt").exists()
+        Path("out.txt").write_text("kept\n")  # nor does it empty an --out file that exists
+        assert run(capsys, *argv[:-1], side, "--out", "out.txt")[0] == 4
+        assert Path("out.txt").read_text() == "kept\n"
         code, _out, _err = run(capsys, *argv, "--out", "out.txt")
-        assert code == 0 and Path("side.txt").exists()
+        assert code == 0 and Path("side.txt").exists() and Path("out.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--in", "table.tsv", "--plot-data", "out.txt"],
+            ["ingest", "--corpus", "corpus.txt", "--alphabet-out", "./out.txt"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_file_for_two_outputs_exits_1(self, capsys, monkeypatch, workdir, argv):
+        # both opened before either is written, the two outputs would mix in it
+        monkeypatch.chdir(workdir)
+        code, out, err = run(capsys, *argv, "--out", "out.txt")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: one file named for two outputs")
+        assert not Path("out.txt").exists()
 
     def test_format_header_everywhere(self, capsys):
         for args in (
@@ -1142,36 +1157,37 @@ class TestCurveOutputsPinned:
         )
 
     def test_fit_ranks_of_a_simulated_table(self, capsys, words, tmp_path):
-        # the table's own curve written one rank per row: ties give equal freqs
-        counts = sorted((int(c) for _w, c in tsv_rows(words.read_text())), reverse=True)
-        ranks = tmp_path / "ranks.tsv"
-        ranks.write_text("".join(f"{i + 1}\t{c / 20000!r}\n" for i, c in enumerate(counts)))
-        code, out, _ = run(capsys, "fit", "--in", str(ranks))
+        # the table's own counts under other words, rarest first: the same
+        # curve, pinned when it was written one rank per row
+        counts = sorted(int(c) for _w, c in tsv_rows(words.read_text()))
+        table = tmp_path / "renamed.tsv"
+        table.write_text("".join(f"x{i}\t{c}\n" for i, c in enumerate(counts)))
+        code, out, _ = run(capsys, "fit", "--in", str(table))
         assert code == 0
         assert sha(out) == "38ecce621ac7d457a37e240f991c1e41a9a092694abfaca2435ab8073ec29e54"
 
-    def test_rank_file_with_gaps(self, capsys, tmp_path):
-        # triangular ranks, frequencies flat over each three, rows in reverse
-        rows = [f"{k * (k + 1) // 2}\t{0.4 / (1 + k // 3) ** 1.7!r}\n" for k in range(1, 81)]
-        ranks, plot = tmp_path / "gaps.tsv", tmp_path / "plot.csv"
-        ranks.write_text("".join(reversed(rows)))
-        code, out, _ = run(
-            capsys, "fit", "--in", str(ranks), "--window", "2", "2000", "--plot-data", str(plot)
-        )
-        assert code == 0
-        assert sha(out) == "e96537d078e3b267fdc4fa6bf59ac56314bab9efab4c9ae95a0d336daded3f6d"
-        assert sha(plot.read_text()) == (
-            "9dbe3dec47d26bea718b31628309fa539a79e3341c42ad5d81caae7f8d6c25fb"
-        )
-
     def test_ingest(self, capsys, tmp_path):
+        # re-pinned once when ingest's rows became word<TAB>count
         corpus = tmp_path / "corpus.txt"
         corpus.write_text(seeded_corpus(41, 20000, 30), encoding="utf-8")
         code, out, _ = run(capsys, "ingest", "--corpus", str(corpus))
         assert code == 0
         assert data_digest(out) == (
-            "3748750b0feee37605591226f08d78fcba72c17eaa7226e60078a5c8a165c224"
+            "a76c84c0baf43ba9f764e1f20d02cee59f875687d7ed9342f259103925a33c69"
         )
+
+    def test_fit_and_compare_on_ingest_output(self, capsys, tmp_path):
+        # digests of fit and compare on the rank<TAB>freq table ingest wrote
+        # for the same corpus before its rows became word<TAB>count
+        corpus, table = tmp_path / "corpus.txt", tmp_path / "words.tsv"
+        corpus.write_text(seeded_corpus(41, 20000, 30), encoding="utf-8")
+        assert run(capsys, "ingest", "--corpus", str(corpus), "--out", str(table))[0] == 0
+        code, out, _ = run(capsys, "fit", "--in", str(table))
+        assert code == 0
+        assert sha(out) == "7a90fe1d595c26c2acdf998b405242af250f1cd78c8b6440d59234432fc28671"
+        code, out, _ = run(capsys, "compare", "--in", str(table), "--corpus", str(corpus))
+        assert code == 0
+        assert sha(out) == "34f58cdfd06444f2944c8d634b2e4da6a5c029fd2eb0cfcaf4e032fafe71ff21"
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -1219,8 +1235,8 @@ class TestNumpyImportedOnlyToDrawWords:
             ["levels", "--corpus", "corpus.txt", "--max-rank", "50"],
             ["qfun", "--uniform", "3", "--p0", "0.2", "--x-max", "4"],
             ["certify", "--gusein-zade", "3", "--p0", "0.2", "--x-max", "6"],
-            ["fit", "--in", "ranks.tsv"],
-            ["compare", "--uniform", "3", "--p0", "0.2", "--in", "ranks.tsv"],
+            ["fit", "--in", "table.tsv"],
+            ["compare", "--uniform", "3", "--p0", "0.2", "--in", "table.tsv"],
             ["ingest", "--corpus", "corpus.txt", "--alphabet-out", "alpha.txt"],
             ["simulate", "--uniform", "3", "--p0", "0.3", "--n-words", "100", "--seed", "1"],
         ],
@@ -1338,7 +1354,7 @@ CONTRACT_FILES = {
         "neither.tsv": "w1\t0.5\nw2\t0.25\nw3\t0.1\n",
         "zero_counts.tsv": "x\t0\ny\t0\n",
         "negative_counts.tsv": "x\t-3\ny\t3\nz\t1\n",
-        "ok_ranks.tsv": "".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)),
+        "rank_table.tsv": "".join(f"{r}\t{0.5 / r!r}\n" for r in range(1, 31)),
         "ok_words.tsv": "".join(f"w{i}\t{100 // i}\n" for i in range(1, 31)),
         "long_one_column.tsv": "w" * 200_000 + "\n",
         "long_word.tsv": "w" * 200_000 + "\t0.5\n",

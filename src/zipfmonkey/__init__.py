@@ -21,8 +21,6 @@ from .pyramid import (
     Level,
     LevelTable,
     enumerate_levels,
-    functional_equation_residual,
-    p_of_rank,
     q_tilde_direct,
     q_tilde_recursive,
     rank_of_probability,
@@ -55,14 +53,12 @@ __all__ = [
     "empirical_rank_freq",
     "enumerate_levels",
     "estimate_from_corpus",
-    "functional_equation_residual",
     "generate_words",
     "log_weights",
     "make_explicit",
     "make_gusein_zade",
     "make_uniform",
     "ols_loglog",
-    "p_of_rank",
     "predicted_exponent",
     "q_tilde_direct",
     "q_tilde_recursive",

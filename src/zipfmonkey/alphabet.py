@@ -4,8 +4,11 @@ An alphabet is a list of letter probabilities p1 >= ... >= pn > 0 together
 with a space probability p0, normalized so that p1 + ... + pn + p0 = 1.
 Words are the letter sequences between consecutive spaces, so this pair
 fully parameterizes the model.  All constructors return the canonical form
-(letters sorted by nonincreasing probability) and renormalize exactly, so
-downstream identities can rely on the sum being 1 to machine precision.
+(letters sorted by nonincreasing probability), and Alphabet refuses a sum
+that is off 1 by more than NORMALIZATION_TOL.  make_explicit, and through
+it make_gusein_zade, estimate_from_corpus and the file reader, divide every
+probability by the fsum of the input; make_uniform takes (1 - p0) / n as it
+is, so make_uniform(3, 0.1) sums to 0.9999999999999999.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 
 class Alphabet(namedtuple("Alphabet", "letter_probs space_prob labels")):
-    """Canonical letter model: probabilities nonincreasing, exactly normalized.
+    """Canonical letter model: probabilities nonincreasing, summing to 1 within NORMALIZATION_TOL.
 
     letter_probs -- letter probabilities, each in (0, 1), sorted nonincreasing
     space_prob   -- probability of the space symbol, in [0, 1)

@@ -81,21 +81,24 @@ def _resolve_alphabet(args) -> alphabet_mod.Alphabet:
 def _write(outputs: list[tuple[str | None, Iterable[str]]]) -> None:
     """Write each output's items, each with a newline, to its file, or to
     stdout for the path None.  An item is one line, or several whole lines
-    joined by "\n".  Every file is opened before any is written, the new
-    ones first: if one cannot be opened, the files created before it are
-    removed and its OSError raised, so a missing directory leaves no file
-    and empties none.  A path named twice is refused, as its outputs would
-    mix."""
-    paths = sorted((path for path, _lines in outputs if path), key=os.path.exists)  # new first
+    joined by "\n".  Every file is opened before any is written, in append
+    mode, which creates a missing file and empties none: if one cannot be
+    opened, the files created before it are removed and its OSError raised,
+    so a failed open leaves no new file and every existing file as it was.
+    Only then are the regular files emptied; a device or a pipe is written
+    as it is.  A path named twice is refused, as its outputs would mix."""
+    paths = [path for path, _lines in outputs if path]
     if len(set(map(os.path.realpath, paths))) < len(paths):
         raise UsageError(f"one file named for two outputs: {' '.join(paths)}")
     new = [path for path in paths if not os.path.exists(path)]
     try:
-        files = {path: open(path, "w", encoding="utf-8") for path in paths}
+        files = {path: open(path, "a", encoding="utf-8") for path in paths}
     except OSError:
         for path in filter(os.path.exists, new):  # opened before the one that failed
             os.remove(path)
         raise
+    for path in filter(os.path.isfile, paths):
+        files[path].truncate(0)
     for path, lines in outputs:
         with files[path] if path else nullcontext(sys.stdout) as fh:
             # one write per _WRITE_CHARS or so: a write per item costs more than the

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
@@ -236,24 +236,6 @@ def q_tilde_recursive(
     return _memo_sum(grid, grid.threshold(x), node_budget)
 
 
-def functional_equation_residual(
-    weights: WeightVector, x: float, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
-    """Q(x) - sum_i Q(x - L_i) - step(x); zero when the evaluators are sound.
-
-    The shifted arguments x - L_i are formed exactly on the integer grid, one
-    per tie group times its size, and the step term uses the same tie
-    tolerance as the counting function, so the identity is checked without
-    any rounding slack.
-    """
-    grid = weights.grid
-    T = grid.threshold(x)
-    lhs = _region_sum(grid, T, node_budget)
-    shifted = sum(gi * _region_sum(grid, T - wi, node_budget) for wi, gi in zip(grid.w, grid.g))
-    step = 1 if T >= 0 else 0
-    return lhs - shifted - step
-
-
 def rank_of_probability(
     alphabet: Alphabet, f: float, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
@@ -390,15 +372,6 @@ def enumerate_levels(
     except ResourceGuardError:
         return LevelTable(tuple(levels), True)  # the partial level was never yielded
     return LevelTable(tuple(levels), False)
-
-
-def p_of_rank(levels: Sequence[Level], r: int) -> float:
-    """Log-probability of the rank-r word, from enumerated levels (LevelTable.levels)."""
-    if not levels:
-        raise ValueError("empty level table")
-    if r < 1 or r > levels[-1].rank_hi:
-        raise ValueError(f"rank {r} outside enumerated range [1, {levels[-1].rank_hi}]")
-    return levels[bisect_left(levels, r, key=lambda lv: lv.rank_hi)].log_prob
 
 
 # --- envelope certificate ----------------------------------------------------

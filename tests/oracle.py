@@ -1,4 +1,4 @@
-"""Brute-force ground truth for the word list.
+"""Brute-force ground truth for the word list, and the tests' readers of it.
 
 Exhaustively enumerates every word up to a length cap, computes each
 probability directly, and sorts.  Rank queries, level tables, and
@@ -7,17 +7,25 @@ with no lattice combinatorics involved, which is exactly why the module is
 useful: it checks the fast machinery from first principles.  multinomial
 counts the words of one letter composition the same way, for the lattice
 walks.  Deliberately naive; desk-scale verification only.
+
+Two checks that no command needs live here too: p_of_rank reads the
+probability of a rank off the package's levels, for comparison with
+oracle_p_of_rank, and functional_equation_residual evaluates the
+functional equation of the counting function on the package's own walk.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 from zipfmonkey.alphabet import Alphabet
 from zipfmonkey.errors import ResourceGuardError
+from zipfmonkey.gamma import WeightVector
+from zipfmonkey.pyramid import DEFAULT_NODE_BUDGET, Level, _region_sum
 
 ENUMERATION_CAP = 10**6
 LOG_TOL = 1e-12  # absolute tolerance for log-probability comparisons
@@ -110,6 +118,31 @@ def oracle_p_of_rank(words: list[WordRecord], r: int) -> float:
     if r < 1 or r > len(words):
         raise ValueError(f"rank {r} outside the enumerated range [1, {len(words)}]")
     return words[r - 1].log_prob
+
+
+def p_of_rank(levels: Sequence[Level], r: int) -> float:
+    """Log-probability of the rank-r word, from enumerated levels (LevelTable.levels)."""
+    if r < 1 or r > levels[-1].rank_hi:
+        raise ValueError(f"rank {r} outside enumerated range [1, {levels[-1].rank_hi}]")
+    return levels[bisect_left(levels, r, key=lambda lv: lv.rank_hi)].log_prob
+
+
+def functional_equation_residual(weights: WeightVector, x: float) -> int:
+    """Q(x) - sum_i Q(x - L_i) - step(x), by the direct walk; zero when it is sound.
+
+    The shifted arguments x - L_i are formed exactly on the integer grid, one
+    per tie group times its size, and the step term uses the same tie
+    tolerance as the counting function, so the identity is checked without
+    any rounding slack.  x goes through the package's one bound rule, so a
+    bound that is not finite is refused as every entry point refuses it.
+    """
+    grid = weights.grid
+    T = grid.threshold(x)
+    budget = DEFAULT_NODE_BUDGET
+    lhs = _region_sum(grid, T, budget)
+    shifted = sum(gi * _region_sum(grid, T - wi, budget) for wi, gi in zip(grid.w, grid.g))
+    step = 1 if T >= 0 else 0
+    return lhs - shifted - step
 
 
 def multinomial(k: Sequence[int]) -> int:

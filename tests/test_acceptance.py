@@ -11,17 +11,22 @@ import time
 import pytest
 
 from conftest import make_random_alphabet, one_rank_runs
-from oracle import enumerate_all, oracle_levels, oracle_p_of_rank, oracle_rank_of_probability
+from oracle import (
+    enumerate_all,
+    functional_equation_residual,
+    oracle_levels,
+    oracle_p_of_rank,
+    oracle_rank_of_probability,
+    p_of_rank,
+)
 from zipfmonkey import (
     empirical_rank_freq,
     enumerate_levels,
-    functional_equation_residual,
     generate_words,
     log_weights,
     make_gusein_zade,
     make_uniform,
     ols_loglog,
-    p_of_rank,
     predicted_exponent,
     q_tilde_direct,
     q_tilde_recursive,

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -1007,6 +1008,48 @@ class TestOutputFiles:
         assert Path("out.txt").read_text() == "kept\n"
         code, _out, _err = run(capsys, *argv, "--out", "out.txt")
         assert code == 0 and Path("side.txt").exists() and Path("out.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--in", "table.tsv", "--plot-data", "side.txt"],
+            ["ingest", "--corpus", "corpus.txt", "--alphabet-out", "side.txt"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_path_that_is_a_directory_keeps_every_existing_file(self, capsys, monkeypatch,
+                                                                workdir, argv):
+        # an existing path that cannot be opened: no other existing file is emptied
+        monkeypatch.chdir(workdir)
+        assert run(capsys, *argv, "--out", "fresh.txt")[0] == 0
+        fresh = Path("fresh.txt").read_bytes(), Path("side.txt").read_bytes()
+        Path("adir").mkdir()
+        Path("keep.tsv").write_text("kept\n")
+        code, out, err = run(capsys, *argv[:-1], "adir", "--out", "keep.tsv")
+        assert (code, out) == (4, "")
+        assert err.startswith("i/o error: ")
+        assert Path("keep.tsv").read_text() == "kept\n"
+        Path("side.txt").write_text("kept\n")
+        assert run(capsys, *argv, "--out", "adir")[0] == 4
+        assert Path("side.txt").read_text() == "kept\n"
+        # once every file is open, a longer file that exists is emptied first
+        Path("keep.tsv").write_bytes(b"x" * 2 * len(fresh[0]))
+        Path("side.txt").write_bytes(b"x" * 2 * len(fresh[1]))
+        assert run(capsys, *argv, "--out", "keep.tsv")[0] == 0
+        assert (Path("keep.tsv").read_bytes(), Path("side.txt").read_bytes()) == fresh
+
+    def test_device_and_pipe_are_written_as_they_are(self, capsys, tmp_path):
+        argv = ["gamma", "--uniform", "2", "--p0", "0.5"]
+        _code, stdout, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--out", os.devnull)[:2] == (0, "")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run(capsys, *argv, "--out", str(fifo))[:2] == (0, "")
+        reader.join(10)
+        assert got == [stdout]
 
     @pytest.mark.parametrize(
         "argv",

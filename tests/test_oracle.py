@@ -6,13 +6,18 @@ import random
 import pytest
 
 from conftest import make_random_alphabet
-from oracle import enumerate_all, oracle_levels, oracle_p_of_rank, oracle_rank_of_probability
+from oracle import (
+    enumerate_all,
+    oracle_levels,
+    oracle_p_of_rank,
+    oracle_rank_of_probability,
+    p_of_rank,
+)
 from zipfmonkey import (
     enumerate_levels,
     log_weights,
     make_explicit,
     make_uniform,
-    p_of_rank,
     rank_of_probability,
 )
 from zipfmonkey.errors import ResourceGuardError

@@ -78,55 +78,37 @@ def _resolve_alphabet(args) -> alphabet_mod.Alphabet:
     return (alphabet_mod.make_uniform if uniform else alphabet_mod.make_gusein_zade)(n, args.p0)
 
 
-def _write(outputs: list[tuple[str | None, Iterable[str]]]) -> None:
-    """Write each output's items, each with a newline, to its file, or to
-    stdout for the path None.  An item is one line, or several whole lines
-    joined by "\n".  Every file is opened before any is written, in append
-    mode, which creates a missing file and empties none: if one cannot be
-    opened, the files created before it are removed and its OSError raised,
-    so a failed open leaves no new file and every existing file as it was.
-    Only then are the regular files emptied; a device or a pipe is written
-    as it is.  A path named twice is refused, as its outputs would mix."""
-    paths = [path for path, _lines in outputs if path]
-    if len(set(map(os.path.realpath, paths))) < len(paths):
-        raise UsageError(f"one file named for two outputs: {' '.join(paths)}")
-    new = [path for path in paths if not os.path.exists(path)]
-    try:
-        files = {path: open(path, "a", encoding="utf-8") for path in paths}
-    except OSError:
-        for path in filter(os.path.exists, new):  # opened before the one that failed
-            os.remove(path)
-        raise
-    for path in filter(os.path.isfile, paths):
-        files[path].truncate(0)
-    for path, lines in outputs:
-        with files[path] if path else nullcontext(sys.stdout) as fh:
-            # one write per _WRITE_CHARS or so: a write per item costs more than the
-            # join, and a write of at most _WRITE_CHARS plus one item bounds memory
-            block, size = [], 0
-            for item in lines:
-                block.append(item)
-                size += len(item) + 1
-                if size >= _WRITE_CHARS:
-                    fh.write("\n".join(block) + "\n")
-                    block, size = [], 0
-            if block:
+def _write(path: str | None, lines: Iterable[str]) -> None:
+    """Write the items, each with a newline, to the file at path, or to stdout
+    for the path None.  An item is one line, or several whole lines joined by
+    "\n".  The file is opened only here, once the command's checks have passed:
+    an open that fails raises its OSError and leaves no file."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        # one write per _WRITE_CHARS or so: a write per item costs more than the
+        # join, and a write of at most _WRITE_CHARS plus one item bounds memory
+        block, size = [], 0
+        for item in lines:
+            block.append(item)
+            size += len(item) + 1
+            if size >= _WRITE_CHARS:
                 fh.write("\n".join(block) + "\n")
+                block, size = [], 0
+        if block:
+            fh.write("\n".join(block) + "\n")
 
 
 # --- subcommands -------------------------------------------------------------
-# Each computes its whole result, then returns (exit code, output lines), plus
-# (path, lines) for a side file (fit --plot-data, ingest --alphabet-out) that
-# main writes after the output.  Only rendering is left to the lazy lines, and
-# main opens every output file before it writes any, so a command that fails
-# writes nothing.  levels leaves its walk to them too: past its checks it ends
-# only in "# truncated".
+# Each computes its whole result, then returns (exit code, output lines): one
+# output per command, which main writes to --out or stdout (fit --plot-data and
+# ingest --alphabet-out select which output that is).  Only rendering is left
+# to the lazy lines, and main opens the --out file only after the command
+# returns, so a command that fails writes nothing.  levels leaves its walk to
+# them too: past its checks it ends only in "# truncated".
 
 Lines = Iterable[str]
-Output = tuple[int, Lines] | tuple[int, Lines, tuple[str, Lines]]
 
 
-def _cmd_gamma(args) -> Output:
+def _cmd_gamma(args) -> tuple[int, Lines]:
     al = _resolve_alphabet(args)
     sol = solve_gamma(al)
     lines = [
@@ -143,7 +125,7 @@ def _cmd_gamma(args) -> Output:
     return EXIT_OK, lines
 
 
-def _cmd_levels(args) -> Output:
+def _cmd_levels(args) -> tuple[int, Lines]:
     al = _resolve_alphabet(args)
     levels = pyramid.level_rows(
         al, max_rank=args.max_rank, max_weight=args.max_weight, node_budget=args.node_budget
@@ -164,14 +146,14 @@ def _cmd_levels(args) -> Output:
     return EXIT_OK, chain(header, rows())
 
 
-def _cmd_qfun(args) -> Output:
+def _cmd_qfun(args) -> tuple[int, Lines]:
     al = _resolve_alphabet(args)
     events = pyramid.weight_events(log_weights(al), args.x_max, node_budget=args.node_budget)
     header = ["# format: v1 qfun", "# columns: x\tq"]
     return EXIT_OK, chain(header, (f"{x!r}\t{q}" for x, q in events))
 
 
-def _cmd_certify(args) -> Output:
+def _cmd_certify(args) -> tuple[int, Lines]:
     al = _resolve_alphabet(args)
     sol = solve_gamma(al)
     weights = rescale_weights(al, sol)
@@ -195,7 +177,7 @@ def _cmd_certify(args) -> Output:
     return EXIT_OK, lines
 
 
-def _cmd_simulate(args) -> Output:
+def _cmd_simulate(args) -> tuple[int, Lines]:
     if args.out and args.seed is None:
         raise UsageError("--seed is required when --out is set (reproducible archives)")
     al = _resolve_alphabet(args)
@@ -212,17 +194,16 @@ def _cmd_simulate(args) -> Output:
 def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
     """The curve of a word<TAB>count table, read as simulate and ingest write it.
 
-    Parsed in bulk: the data lines (stripped, neither blank nor '#'), a line's
-    whitespace columns joined by a tab if it holds none, are joined by tabs
-    and split once.  Each distinct count string is parsed once, and one set
-    of the words finds a repeated word: only then is a dict of the words
+    Parsed in bulk: the data lines (stripped, neither blank nor '#') are joined
+    by tabs and split once.  Each distinct count string is parsed once, and one
+    set of the words finds a repeated word: only then is a dict of the words
     built, in which the last row of a word wins."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     # split as file iteration splits (on "\n" after newline translation), not by splitlines;
-    # a line of one column becomes three empty cells, so the cell count below fails on it
-    rows = [s if "\t" in s else t if "\t" in (t := "\t".join(s.split())) else "\t\t"
-            for s in map(str.strip, text.split("\n")) if s and s[0] != "#"]
+    # a line without a tab becomes three empty cells, so the cell count below fails on it
+    rows = [s if "\t" in s else "\t\t" for s in map(str.strip, text.split("\n"))
+            if s and s[0] != "#"]
     del text
     if not rows:
         raise ValueError(f"no data rows in {path}")
@@ -235,7 +216,7 @@ def _rank_freq_from_file(path: str) -> simulate.RankFrequency:
         with open(path, encoding="utf-8") as fh:  # find it again, to name it
             for raw in fh:
                 s = raw.strip()
-                if s and s[0] != "#" and len(s.split("\t") if "\t" in s else s.split()) != 2:
+                if s and s[0] != "#" and s.count("\t") != 1:
                     raise ValueError(f"expected 2 columns, got {quote(raw)}")
         raise ValueError(f"{path} changed while it was read")
     words, values = cells[0::2], cells[1::2]
@@ -259,8 +240,13 @@ def _fit_from_args(args) -> tuple[fit_mod.FitResult, simulate.RankFrequency]:
     return fit_mod.ols_loglog(points, r_min, r_max), points
 
 
-def _cmd_fit(args) -> Output:
+def _cmd_fit(args) -> tuple[int, Lines]:
     result, points = _fit_from_args(args)
+    if args.plot_data:
+        lo, hi = result.rank_window
+        lg = ((math.log10(r), math.log10(f)) for r, f in simulate.expand_runs(points.runs, lo, hi))
+        rows = (f"{x!r},{y!r},{result.intercept + result.slope * x!r}" for x, y in lg)
+        return EXIT_OK, chain(["# format: v1 fit_plot", "lg_r,lg_f,lg_f_fit"], rows)
     lines = [
         "# format: v1 fit",
         f"intercept={result.intercept!r}",
@@ -270,15 +256,10 @@ def _cmd_fit(args) -> Output:
         f"window_lo={result.rank_window[0]}",
         f"window_hi={result.rank_window[1]}",
     ]
-    if not args.plot_data:
-        return EXIT_OK, lines
-    lo, hi = result.rank_window
-    lg = ((math.log10(r), math.log10(f)) for r, f in simulate.expand_runs(points.runs, lo, hi))
-    rows = (f"{x!r},{y!r},{result.intercept + result.slope * x!r}" for x, y in lg)
-    return EXIT_OK, lines, (args.plot_data, chain(["lg_r,lg_f,lg_f_fit"], rows))
+    return EXIT_OK, lines
 
 
-def _cmd_compare(args) -> Output:
+def _cmd_compare(args) -> tuple[int, Lines]:
     result, _pts = _fit_from_args(args)
     al = _resolve_alphabet(args)
     report = fit_mod.compare(result, al)
@@ -306,9 +287,12 @@ def _tokenize_words(text: str, fold_case: bool = True) -> dict[str, int]:
     return counts
 
 
-def _cmd_ingest(args) -> Output:
+def _cmd_ingest(args) -> tuple[int, Lines]:
     with open(args.corpus, encoding="utf-8") as fh:
         text = fh.read()
+    if args.alphabet_out:
+        al = alphabet_mod.estimate_from_corpus(text, fold_case=not args.keep_case)
+        return EXIT_OK, [alphabet_mod.to_text(al).removesuffix("\n")]
     counts = _tokenize_words(text, fold_case=not args.keep_case)
     if not counts:
         raise ValueError(f"no words found in {args.corpus}")
@@ -318,11 +302,7 @@ def _cmd_ingest(args) -> Output:
         "# columns: word\tcount",
     ]
     # corpus words are letters only: no "\0", "\t" or "\n", and no empty word
-    lines = chain(header, simulate.word_lines(simulate.FrequencyTable(counts), ()))
-    if not args.alphabet_out:
-        return EXIT_OK, lines
-    al = alphabet_mod.estimate_from_corpus(text, fold_case=not args.keep_case)
-    return EXIT_OK, lines, (args.alphabet_out, [alphabet_mod.to_text(al).removesuffix("\n")])
+    return EXIT_OK, chain(header, simulate.word_lines(simulate.FrequencyTable(counts), ()))
 
 
 # --- parser ------------------------------------------------------------------
@@ -387,7 +367,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "fit", parents=[out, table], help="OLS power-law fit of a word-count table's curve"
     )
-    p.add_argument("--plot-data", metavar="FILE", help="CSV of lg_r,lg_f,lg_f_fit")
+    p.add_argument("--plot-data", action="store_true", help="write the lg_r,lg_f,lg_f_fit CSV")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser(
@@ -397,11 +377,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser(
-        "ingest", parents=[out], help="corpus to word-count TSV and estimated alphabet"
+        "ingest", parents=[out], help="corpus to word-count TSV, or to its estimated alphabet"
     )
     p.add_argument("--corpus", required=True, metavar="FILE")
     p.add_argument("--keep-case", action="store_true")
-    p.add_argument("--alphabet-out", metavar="FILE")
+    p.add_argument("--alphabet-out", action="store_true", help="write the estimated alphabet")
     p.set_defaults(func=_cmd_ingest)
     return parser
 
@@ -411,8 +391,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         args.node_budget = _env_limit("ZIPFMONKEY_NODE_BUDGET", pyramid.DEFAULT_NODE_BUDGET)
         args.word_cap = _env_limit("ZIPFMONKEY_WORD_CAP", simulate.DEFAULT_WORD_CAP)
-        code, lines, *side_files = args.func(args)
-        _write([(args.out, lines), *side_files])
+        code, lines = args.func(args)
+        _write(args.out, lines)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -435,15 +435,13 @@ class TestFitAndCompare:
     def test_plot_data(self, capsys, tmp_path):
         path = tmp_path / "words.tsv"
         path.write_text("\n".join(f"w{r}\t{round(10**6 / r**1.2)}" for r in range(1, 60)) + "\n")
-        plot = tmp_path / "plot.csv"
-        code, _, _ = run(
-            capsys, "fit", "--in", str(path), "--window", "2", "50",
-            "--plot-data", str(plot),
+        code, out, _ = run(
+            capsys, "fit", "--in", str(path), "--window", "2", "50", "--plot-data"
         )
         assert code == 0
-        lines = plot.read_text().splitlines()
-        assert lines[0] == "lg_r,lg_f,lg_f_fit"
-        assert len(lines) == 50  # header + ranks 2..50
+        lines = out.splitlines()
+        assert lines[:2] == ["# format: v1 fit_plot", "lg_r,lg_f,lg_f_fit"]
+        assert len(lines) == 51  # format line + CSV header + ranks 2..50
 
     @pytest.mark.parametrize(
         "text, row",
@@ -546,8 +544,6 @@ def reference_rank_freq(path):
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) == 1:
-                parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"expected 2 columns, got {raw!r}")
             rows.append((parts[0], parts[1]))
@@ -582,26 +578,24 @@ _EDGE = st.sampled_from(["", "", " ", "\t", "\x0c", "\u2028"])  # around a row
 
 @st.composite
 def rows_file(draw):
-    """A table of word rows, or of word rows mixed with rows of 1, 3 or more
-    columns and counts that are not positive integers; with comments and
-    blank lines, ended by \\n, \\r\\n or a lone \\r."""
+    """A table of word<TAB>count rows, or of such rows mixed with rows of 1
+    (a word and a count split by whitespace but no tab among them), 3 or more
+    columns and counts that are not positive integers; with comments and blank
+    lines, ended by \\n, \\r\\n or a lone \\r."""
     mode = draw(st.sampled_from(["words", "mixed"]))
     kinds = {"words": ["row"] * 4, "mixed": ["row", "one", "three"]}
     lines = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(kinds[mode] + ["comment", "blank"]))
         if kind == "row":
-            value = draw(_VALUE if mode == "mixed" else _COUNT)
-            if draw(st.booleans()):
-                line = draw(_CELL) + "\t" + value
-            else:
-                line = draw(_WORD) + draw(st.sampled_from([" ", "  ", "\x0b", "\x85"])) + value
+            line = draw(_CELL) + "\t" + draw(_VALUE if mode == "mixed" else _COUNT)
         elif kind == "comment":
             line = "#" + draw(_CELL) + "\t" + draw(_VALUE)
         elif kind == "blank":
             line = draw(st.text(_WS + "\t", max_size=3))
         elif kind == "one":
-            line = draw(_CELL)
+            space = draw(st.sampled_from(["", " ", "  ", "\x0b", "\x85"]))
+            line = draw(_CELL) + (space + draw(_VALUE) if space else "")
         else:
             sep = draw(st.sampled_from(["\t", "\t\t", " "]))
             line = draw(_WORD) + sep + draw(_WORD) + sep + draw(_VALUE)
@@ -621,7 +615,7 @@ class TestBulkReader:
     @example(text="w\t3\nv\t1\nw\t1\n")  # the last row of w wins
     @example(text="w\t3\nv\t+3\nu\t03\nw\t\u0663\nz\t1_0\n")  # spellings int() merges
     @example(text="w\t3\nv\t2\nu\t1\nz\t0.5\n")  # the one non-integer is in the last row
-    @example(text="1\t0.5\n2\t0.25\n3 0.125\n")  # a rank table: its first row is named
+    @example(text="1\t0.5\n2\t0.25\n3 0.125\n")  # a row split by a space is one column
     @example(text="w\t3\nv\t2\t\tx\r")  # a bad last line with no newline
     @example(text="w\t3\nv\nu\t1\t2\n")  # 1 and 3 columns: as many cells as 2 and 2
     @example(text="w\t3\nv 1 2\n")
@@ -680,7 +674,7 @@ class TestWriteBlocks:
             items = [f"{i}\t{1.0 / (i + 1)!r}" for i in range(100_000)]
         out = _RecordingStdout()
         monkeypatch.setattr(sys, "stdout", out)
-        cli_mod._write([(None, iter(items))])
+        cli_mod._write(None, iter(items))
         assert "".join(out.writes) == "".join(item + "\n" for item in items)
         longest = max(len(item) + 1 for item in items)
         assert len(out.writes) > 2
@@ -691,24 +685,23 @@ class TestIngest:
     def test_corpus_to_rank_freq_and_alphabet(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("The cat sat.  The cat ran!\nThe end.")
-        alpha_out = tmp_path / "alpha.tsv"
-        code, out, _ = run(
-            capsys, "ingest", "--corpus", str(corpus), "--alphabet-out", str(alpha_out)
-        )
+        code, out, _ = run(capsys, "ingest", "--corpus", str(corpus))
         assert code == 0
         assert out.startswith("# format: v1 word_count\n")
         # most frequent first, ties in code-point order: the rows simulate writes
         assert tsv_rows(out) == [["the", "3"], ["cat", "2"], ["end", "1"], ["ran", "1"],
                                  ["sat", "1"]]
-        al = am.loads(alpha_out.read_text())
-        assert al.n >= 2
+        code, out, _ = run(capsys, "ingest", "--corpus", str(corpus), "--alphabet-out")
+        assert code == 0
+        assert out.startswith("# format: v1 alphabet\n")
+        assert am.loads(out).n >= 2
 
     def test_alphabet_out_json(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("the cat sat on the mat")
         alpha_out = tmp_path / "alpha.json"
         code, _, _ = run(
-            capsys, "ingest", "--corpus", str(corpus), "--alphabet-out", str(alpha_out)
+            capsys, "ingest", "--corpus", str(corpus), "--alphabet-out", "--out", str(alpha_out)
         )
         assert code == 0
         # the one alphabet format, whatever the file's name
@@ -722,7 +715,7 @@ class TestIngest:
         corpus.write_text("İstanbul is in it\n")
         alpha_out = tmp_path / name
         code, _, _ = run(
-            capsys, "ingest", "--corpus", str(corpus), "--alphabet-out", str(alpha_out)
+            capsys, "ingest", "--corpus", str(corpus), "--alphabet-out", "--out", str(alpha_out)
         )
         assert code == 0
         code, out, _ = run(capsys, "gamma", "--alphabet", str(alpha_out))
@@ -956,16 +949,20 @@ class TestOutputFiles:
             ["certify", "--gusein-zade", "3", "--p0", "0.2", "--x-max", "6"],
             ["simulate", "--uniform", "3", "--p0", "0.3", "--n-words", "100", "--seed", "1"],
             ["fit", "--in", "table.tsv"],
+            ["fit", "--in", "table.tsv", "--plot-data"],
             ["compare", "--uniform", "3", "--p0", "0.2", "--in", "table.tsv"],
             ["ingest", "--corpus", "corpus.txt"],
+            ["ingest", "--corpus", "corpus.txt", "--alphabet-out"],
         ],
-        ids=lambda argv: argv[0],
+        ids=lambda argv: "".join(
+            a for a in argv if a in (argv[0], "--plot-data", "--alphabet-out")),
     )
     def test_out_flag_writes_file(self, capsys, monkeypatch, workdir, argv):
         monkeypatch.chdir(workdir)
         code, stdout, _ = run(capsys, *argv)
         assert code == 0
         assert stdout.startswith("# format: v1 ")
+        Path("out.txt").write_bytes(b"x" * 2 * len(stdout))  # a longer file is emptied first
         code, out, _ = run(capsys, *argv, "--out", "out.txt")
         assert code == 0
         assert out == ""
@@ -982,61 +979,28 @@ class TestOutputFiles:
         assert out == ""
         assert not out_path.exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["fit", "--in", "table.tsv", "--plot-data", "side.txt"],
-            ["ingest", "--corpus", "corpus.txt", "--alphabet-out", "side.txt"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_out_that_cannot_be_opened_leaves_no_side_file(self, capsys, monkeypatch, workdir,
-                                                           argv):
-        monkeypatch.chdir(workdir)
-        code, out, err = run(capsys, *argv, "--out", str(Path("missing", "out.txt")))
-        assert (code, out) == (4, "")
-        assert err.startswith("i/o error: ")
-        assert not Path("side.txt").exists()
-        # the converse: a side file that cannot be opened leaves no --out file
-        side = str(Path("missing", "side.txt"))
-        code, out, err = run(capsys, *argv[:-1], side, "--out", "out.txt")
-        assert (code, out) == (4, "")
-        assert err.startswith("i/o error: ")
-        assert not Path("out.txt").exists()
-        Path("out.txt").write_text("kept\n")  # nor does it empty an --out file that exists
-        assert run(capsys, *argv[:-1], side, "--out", "out.txt")[0] == 4
-        assert Path("out.txt").read_text() == "kept\n"
-        code, _out, _err = run(capsys, *argv, "--out", "out.txt")
-        assert code == 0 and Path("side.txt").exists() and Path("out.txt").exists()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["fit", "--in", "table.tsv", "--plot-data", "side.txt"],
-            ["ingest", "--corpus", "corpus.txt", "--alphabet-out", "side.txt"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_path_that_is_a_directory_keeps_every_existing_file(self, capsys, monkeypatch,
-                                                                workdir, argv):
-        # an existing path that cannot be opened: no other existing file is emptied
-        monkeypatch.chdir(workdir)
-        assert run(capsys, *argv, "--out", "fresh.txt")[0] == 0
-        fresh = Path("fresh.txt").read_bytes(), Path("side.txt").read_bytes()
-        Path("adir").mkdir()
-        Path("keep.tsv").write_text("kept\n")
-        code, out, err = run(capsys, *argv[:-1], "adir", "--out", "keep.tsv")
-        assert (code, out) == (4, "")
-        assert err.startswith("i/o error: ")
-        assert Path("keep.tsv").read_text() == "kept\n"
-        Path("side.txt").write_text("kept\n")
-        assert run(capsys, *argv, "--out", "adir")[0] == 4
-        assert Path("side.txt").read_text() == "kept\n"
-        # once every file is open, a longer file that exists is emptied first
-        Path("keep.tsv").write_bytes(b"x" * 2 * len(fresh[0]))
-        Path("side.txt").write_bytes(b"x" * 2 * len(fresh[1]))
-        assert run(capsys, *argv, "--out", "keep.tsv")[0] == 0
-        assert (Path("keep.tsv").read_bytes(), Path("side.txt").read_bytes()) == fresh
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--in", "table.tsv", "--plot-data"],
+        ["ingest", "--corpus", "corpus.txt"],
+        ["ingest", "--corpus", "corpus.txt", "--alphabet-out"],
+    ], ids=["fit--plot-data", "ingest", "ingest--alphabet-out"])
+    def test_out_that_cannot_be_opened_creates_and_changes_no_file(self, workdir, argv):
+        # a directory, and a path under a missing one: exit 4 in a fresh process
+        # under -X dev, which reports a file left open as a ResourceWarning
+        (workdir / "adir").mkdir()
+        (workdir / "adir" / "keep.tsv").write_text("kept\n")
+        before = {path: path.read_bytes() for path in workdir.rglob("*") if path.is_file()}
+        for out in ("adir", os.path.join("missing", "out.txt")):
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "zipfmonkey.cli", *argv, "--out", out],
+                cwd=workdir, env={**os.environ, "PYTHONPATH": SRC},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert (done.returncode, done.stdout) == (4, ""), done.stderr
+            assert done.stderr.startswith("i/o error: ")
+            assert "ResourceWarning" not in done.stderr
+            assert {path: path.read_bytes() for path in workdir.rglob("*")
+                    if path.is_file()} == before
 
     def test_device_and_pipe_are_written_as_they_are(self, capsys, tmp_path):
         argv = ["gamma", "--uniform", "2", "--p0", "0.5"]
@@ -1051,32 +1015,23 @@ class TestOutputFiles:
         reader.join(10)
         assert got == [stdout]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["fit", "--in", "table.tsv", "--plot-data", "out.txt"],
-            ["ingest", "--corpus", "corpus.txt", "--alphabet-out", "./out.txt"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_one_file_for_two_outputs_exits_1(self, capsys, monkeypatch, workdir, argv):
-        # both opened before either is written, the two outputs would mix in it
+    def test_format_header_everywhere(self, capsys, monkeypatch, workdir):
         monkeypatch.chdir(workdir)
-        code, out, err = run(capsys, *argv, "--out", "out.txt")
-        assert (code, out) == (1, "")
-        assert err.startswith("usage error: one file named for two outputs")
-        assert not Path("out.txt").exists()
-
-    def test_format_header_everywhere(self, capsys):
         for args in (
             ("gamma", "--uniform", "2", "--p0", "0.5"),
             ("levels", "--uniform", "2", "--p0", "0.5", "--max-rank", "3"),
             ("qfun", "--uniform", "2", "--p0", "0.5", "--x-max", "2"),
             ("certify", "--uniform", "2", "--p0", "0.5", "--x-max", "5"),
             ("simulate", "--uniform", "2", "--p0", "0.5", "--n-words", "10", "--seed", "1"),
+            ("fit", "--in", "table.tsv"),
+            ("fit", "--in", "table.tsv", "--plot-data"),
+            ("compare", "--uniform", "2", "--p0", "0.5", "--in", "table.tsv"),
+            ("ingest", "--corpus", "corpus.txt"),
+            ("ingest", "--corpus", "corpus.txt", "--alphabet-out"),
         ):
-            _code, out, _ = run(capsys, *args)
-            assert out.startswith("# format: v1 "), args[0]
+            code, out, _ = run(capsys, *args)
+            assert code == 0, args
+            assert out.startswith("# format: v1 "), args
 
 
 class TestExactOutputsPinned:
@@ -1188,16 +1143,16 @@ class TestCurveOutputsPinned:
         assert code == 0
         assert sha(out) == "2d09a09db450c08713ef53aea30ff299505114b0b62be4b874a3cca2b0b2059a"
 
-    def test_fit_plot_data(self, capsys, words, tmp_path):
-        plot = tmp_path / "plot.csv"
-        code, out, _ = run(
-            capsys, "fit", "--in", str(words), "--window", "10", "300", "--plot-data", str(plot)
-        )
+    def test_fit_plot_data(self, capsys, words):
+        argv = ["fit", "--in", str(words), "--window", "10", "300"]
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert sha(out) == "b0626f877c034a6f33194220849b0ea4bdc049653f932ae44b8c3aafb278ef72"
-        assert sha(plot.read_text()) == (
-            "50e69309d7031fc5379547c1a5a86cc8b1c30c7aefc960071f5572b719d06f39"
-        )
+        code, out, _ = run(capsys, *argv, "--plot-data")
+        assert code == 0
+        header, _, rows = out.partition("\n")  # the rows pinned when they had a file of their own
+        assert header == "# format: v1 fit_plot"
+        assert sha(rows) == "50e69309d7031fc5379547c1a5a86cc8b1c30c7aefc960071f5572b719d06f39"
 
     def test_fit_ranks_of_a_simulated_table(self, capsys, words, tmp_path):
         # the table's own counts under other words, rarest first: the same
@@ -1279,8 +1234,10 @@ class TestNumpyImportedOnlyToDrawWords:
             ["qfun", "--uniform", "3", "--p0", "0.2", "--x-max", "4"],
             ["certify", "--gusein-zade", "3", "--p0", "0.2", "--x-max", "6"],
             ["fit", "--in", "table.tsv"],
+            ["fit", "--plot-data", "--in", "table.tsv"],
             ["compare", "--uniform", "3", "--p0", "0.2", "--in", "table.tsv"],
-            ["ingest", "--corpus", "corpus.txt", "--alphabet-out", "alpha.txt"],
+            ["ingest", "--corpus", "corpus.txt"],
+            ["ingest", "--alphabet-out", "--corpus", "corpus.txt"],
             ["simulate", "--uniform", "3", "--p0", "0.3", "--n-words", "100", "--seed", "1"],
         ],
         ids=lambda argv: "-".join(argv[:2]),
@@ -1322,8 +1279,9 @@ class TestLightImport:
     def test_alphabet_file_round_trip_loads_no_heavy_module(self, workdir):
         code = (
             "from zipfmonkey.cli import main\n"
-            "assert main(['ingest', '--corpus', 'corpus.txt', '--alphabet-out', 'a.txt',"
-            " '--out', 'r.tsv']) == 0\n"
+            "assert main(['ingest', '--corpus', 'corpus.txt', '--out', 'r.tsv']) == 0\n"
+            "assert main(['ingest', '--corpus', 'corpus.txt', '--alphabet-out',"
+            " '--out', 'a.txt']) == 0\n"
             "assert main(['gamma', '--alphabet', 'a.txt', '--out', 'g.txt']) == 0"
         )
         assert heavy_modules_loaded(code, workdir) == []
@@ -1358,9 +1316,9 @@ COMMAND_OPTIONS = {
         "--n-words": ["1", "2000"],
         "--seed": ["7"],
     },
-    "fit": {"--in": "tsv", "--window": "window"},
+    "fit": {"--in": "tsv", "--window": "window", "--plot-data": None},
     "compare": {"--in": "tsv", "--window": "window"},
-    "ingest": {"--corpus": "corpus", "--keep-case": None, "--alphabet-out": "out"},
+    "ingest": {"--corpus": "corpus", "--keep-case": None, "--alphabet-out": None},
 }
 # kind -> file name -> content; names starting "ok" are well formed
 CONTRACT_FILES = {

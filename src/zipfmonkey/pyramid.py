@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from bisect import bisect_right
 from collections import Counter
 from itertools import chain
@@ -396,6 +397,7 @@ def weight_events(
 # Relative padding applied to the exact base extrema so the strict
 # inequalities survive float exp() evaluation at every checked event.
 _ENVELOPE_PAD = 1e-11
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int that rounds to inf as a float
 
 
 def verify_bounds(
@@ -439,6 +441,11 @@ def verify_bounds(
         x, q = next(jumps)
         e = math.exp(-x)
         for nxt, q_nxt in jumps:
+            if q_nxt >= _FLOAT_OVERFLOW:
+                raise ValueError(
+                    f"Q leaves the float range (above {sys.float_info.max}) at x={nxt}; "
+                    "certify to a smaller x_max"
+                )
             e_nxt = math.exp(-nxt)  # the inf of [x, nxt) and the sup of [nxt, ...)
             yield x, (q + shift) * e, (q + shift) * e_nxt
             x, q, e = nxt, q_nxt, e_nxt

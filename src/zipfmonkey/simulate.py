@@ -12,11 +12,18 @@ inside the functions that draw words, so importing this module (and with
 it the package and the CLI) does not load it.  A fixed (alphabet,
 word_count, seed) triple reproduces the same table within one build.
 
-A word is a str from the draw to the output: letter i is the code point
-i + 1, so words sort like their letter-index tuples and the empty word is
-"".  Memory grows with the words and the distinct words, not with the
-letters.  Drawing is stated in _generate_stream and _letter_sampler,
-ranking in empirical_rank_freq and RankFrequency, output in word_lines.
+Letter i is i + 1 from the draw to the output: one array holds every
+drawn letter, and a distinct word becomes a str in which letter i is the
+code point i + 1, so words sort like their letter-index tuples and the
+empty word is "".  Words are counted by sorting integer keys, not by
+hashing one string per draw, and the table lists "" first and then the
+words in code-point order.  Memory grows with the letters (one, two or
+four bytes each by the alphabet size, in the array and then in the string
+the distinct words are sliced from, both freed before the table's dict is
+built), the words (about 22 bytes each while they are sorted) and the
+distinct words.  Drawing is stated in _generate_stream and
+_letter_sampler, counting in _word_runs and _prefix_keys, ranking in
+empirical_rank_freq and RankFrequency, output in word_lines.
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ Word = str  # letter i is chr(i + 1)
 
 DEFAULT_WORD_CAP = 10**8
 
-_BLOCK_CODES = 1 << 18  # code points (letters and separators) drawn and counted at a time
+_BLOCK_CODES = 1 << 18  # code points (letters and separators) drawn at a time
 _MIN_BUCKETS, _MAX_BUCKETS = 1 << 10, 1 << 20  # guide table: 4 KiB to 4 MiB
 _RUN_SLICE = 8192  # words of one run rendered by one pass of string calls
+_KEY_WORDS = 1 << 15  # words keyed at a time
+_SLICE_WORDS = 1 << 10  # distinct words sliced into strings, or counted, at a time
 
 
 class FrequencyTable(NamedTuple):
@@ -130,21 +139,85 @@ def _letter_sampler(probs: np.ndarray) -> Callable[[np.random.Generator, int], n
     return draw
 
 
+def _prefix_keys(
+    letters: np.ndarray, begin: np.ndarray, end: np.ndarray, base: int, k: int
+) -> np.ndarray:
+    """One int64 per word letters[b:e]: its first k letters as base-`base`
+    digits, 0 past its end (b >= e: no letter).  Letters are 1 .. base - 1,
+    so the keys sort like the words' first k letters, a word before its
+    extensions, and only the empty word has key 0.  Each _KEY_WORDS words
+    are put longest first, so digit t is added to a prefix of them.
+    """
+    import numpy as np
+
+    pows = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    keys = np.empty(begin.size, np.int64)
+    for a in range(0, begin.size, _KEY_WORDS):
+        b = begin[a : a + _KEY_WORDS]
+        m = np.clip(end[a : a + _KEY_WORDS] - b, 0, k).astype(np.uint8)
+        by = (k - m).argsort(kind="stable")  # a radix sort of one-byte values
+        b, part = b[by], np.zeros(m.size, np.int64)
+        live = m.size - np.bincount(m, minlength=k).cumsum()  # live[t]: words with a letter t
+        for t, c in enumerate(live[:k].tolist()):
+            part[:c] += letters[b[:c] + t] * pows[t]
+        keys[a + by] = part
+    return keys
+
+
+def _word_runs(letters: np.ndarray, bounds: np.ndarray, base: int) -> np.ndarray:
+    """The distinct words among words j = letters[bounds[j] : bounds[j + 1]]
+    (letters 1 .. base - 1), in code-point order ("" first): one (3, distinct)
+    array whose rows are each word's count, start and end in letters.
+
+    Each word gets one int64 key, its first k letters in base `base`
+    (_prefix_keys), k the most digits with base**k <= 2**63.  One argsort
+    groups the keys; a run of equal keys whose words have k letters or more
+    is re-sorted by the next k letters, one chunk at a time, until each run
+    is one word.
+    """
+    import numpy as np
+
+    k = next(k for k in range(63, 0, -1) if base**k <= 1 << 63)
+    keys = _prefix_keys(letters, bounds[:-1], bounds[1:], base, k)
+    order = keys.argsort()
+    keys.sort()
+    new = np.ones(keys.size + 1, bool)  # new[p]: sorted position p starts a run; new[-1] ends one
+    np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+    keys %= base
+    long = keys.astype(bool)  # long[p]: the word has depth letters or more, so may tie with another
+    del keys
+    depth = k
+    while (tied := np.flatnonzero(long & ~(new[:-1] & new[1:]))).size:  # in runs of 2 or more
+        words = order[tied]
+        keys = _prefix_keys(letters, bounds[words] + depth, bounds[words + 1], base, k)
+        by = np.lexsort((keys, np.cumsum(new[tied])))  # within each run, by the next k letters
+        order[tied], keys = words[by], keys[by]
+        new[tied[1:]] |= keys[1:] != keys[:-1]
+        long[tied], depth = keys % base != 0, depth + k
+    heads = np.flatnonzero(new)  # each run's first position, then the word count
+    runs = np.empty((3, heads.size - 1), bounds.dtype)
+    np.subtract(heads[1:], heads[:-1], out=runs[0])
+    words = order[heads[:-1]]
+    runs[1], runs[2] = bounds[words], bounds[words + 1]
+    return runs
+
+
 def _generate_stream(
     alphabet: Alphabet, count: int, rng: np.random.Generator, word_cap: int
-) -> Counter[Word]:
-    """Draw count words and count them, about _BLOCK_CODES code points at a
-    time: a word is 1/p0 code points on average (its letters and a
-    separator), so a block is _BLOCK_CODES * p0 words whatever p0 is.
+) -> dict[Word, int]:
+    """Draw count words and count them: "" first, then the words in
+    code-point order.
 
     The RNG stream is the one geometric and Generator.choice(p=...) draw:
-    all word lengths, then each block's letters (_letter_sampler reads the
-    doubles choice would read and picks the letters choice would pick).  The
-    empty words, which draw no letters, are counted once from the lengths
-    and left out of the blocks.  A block's letters are written through a
-    mask into a zeroed code-point array: word j's separator, the 0 after its
-    letters, sits at sum(len_k + 1 for k <= j) - 1, and the last word of a
-    block has none.
+    all word lengths, then the letters about _BLOCK_CODES code points at a
+    time (_letter_sampler reads the doubles choice would read and picks the
+    letters choice would pick).  A word is 1/p0 code points on average (its
+    letters and a separator), so a block is _BLOCK_CODES * p0 words whatever
+    p0 is.
+
+    The words are counted by sorting, not hashing (_word_runs): all letters
+    go to one array of the smallest unsigned dtype that holds n, and each
+    distinct word is sliced once from them decoded to one string.
     """
     import numpy as np
 
@@ -157,22 +230,32 @@ def _generate_stream(
             f"{n_letters} letters to draw exceed the cap {word_cap}; "
             "raise ZIPFMONKEY_WORD_CAP to allow more"
         )
+    pos = np.int32 if max(n_letters, count) < 1 << 30 else np.int64  # a letter offset or a count
+    bounds = np.zeros(count + 1, pos)  # word j is letters[bounds[j] : bounds[j + 1]]
+    np.cumsum(lengths, out=bounds[1:])
+    del lengths
     draw_letters = _letter_sampler(np.asarray(alphabet.letter_probs) / (1.0 - p0))
-    block_words = max(1, int(_BLOCK_CODES * p0))
-    n_empty = count - int(np.count_nonzero(lengths))
-    counts: Counter[Word] = Counter({"": n_empty} if n_empty else ())
-    for start in range(0, count, block_words):
-        block = lengths[start : start + block_words]
-        block = block[block > 0]  # empty words draw no letters and are counted above
-        if not block.size:
-            continue
-        letters = draw_letters(rng, block.sum())
-        is_letter = np.ones(letters.size + block.size - 1, bool)
-        is_letter[np.cumsum(block[:-1] + 1) - 1] = False
-        codes = np.zeros(is_letter.size, "<u4")
-        codes[is_letter] = letters
-        counts.update(codes.tobytes().decode("utf-32-le", "surrogatepass").split("\0"))
-    return counts
+    letters = np.empty(n_letters, np.min_scalar_type(alphabet.n))
+    edges = bounds[np.r_[0 : count : max(1, int(_BLOCK_CODES * p0)), count]].tolist()
+    for a, b in zip(edges, edges[1:]):
+        if b > a:  # a block of empty words draws nothing
+            letters[a:b] = draw_letters(rng, b - a)
+    runs = _word_runs(letters, bounds, alphabet.n + 1)
+    del bounds
+    if letters.itemsize == 1:
+        text = str(letters.data, "latin-1")
+    else:
+        text = str(letters.astype("<u4").data, "utf-32-le", "surrogatepass")
+    del letters
+    words: list[Word] = []  # all sliced first: the text is freed before the dict grows
+    for a in range(0, runs.shape[1], _SLICE_WORDS):
+        b, e = runs[1:, a : a + _SLICE_WORDS].tolist()
+        words += [text[i:j] for i, j in zip(b, e)]
+    del text
+    table: dict[Word, int] = {}
+    for a in range(0, len(words), _SLICE_WORDS):
+        table.update(zip(words[a : a + _SLICE_WORDS], runs[0, a : a + _SLICE_WORDS].tolist()))
+    return table
 
 
 def generate_words(
@@ -231,7 +314,9 @@ def word_lines(table: FrequencyTable, labels: Sequence[str]) -> Iterator[str]:
     letter-index order; the empty word is rendered as EMPTY_WORD.  Each item
     is one or more whole lines of one run (the words of one count), joined
     by "\n".  The words are put in buckets by count now; each bucket is
-    sorted and rendered as the items are read.
+    sorted and rendered as the items are read.  generate_words lists its
+    words in code-point order, so each bucket is filled in order and its
+    sort finds one ascending run: linear time.
 
     Up to _RUN_SLICE words of a run at a time are joined with "\0",
     translated (code point i + 1 to labels[i], 0 to "\n") and given their

@@ -309,6 +309,18 @@ class TestCertifyCommand:
         assert code == 2
         assert "x_max" in err
 
+    def test_count_past_the_float_range_exit_2(self, capsys):
+        # two equal letters: Q passes the largest float at the event x = 709.0896...
+        argv = ["certify", "--uniform", "2", "--p0", "0.5", "--x-max"]
+        code, out, _ = run(capsys, *argv, "709")
+        assert code == 0 and kv(out)["event_count"] == "1023"
+        code, out, err = run(capsys, *argv, "712")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: Q leaves the float range (above {sys.float_info.max}) "
+            "at x=709.0895657128191; certify to a smaller x_max\n"
+        )
+
     def test_failed_check_is_written(self, capsys, monkeypatch, tmp_path):
         def violated(*args, **kwargs):
             raise BoundViolationError("upper envelope broken at x=3.5")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_rank_runs
+from oracle import split_counts
 from zipfmonkey import (
     FrequencyTable,
     RankFrequency,
@@ -96,12 +97,12 @@ class TestGenerateWords:
             generate_words(make_uniform(2, 0.3), 10**9 + 1, seed=1, word_cap=10**9)
 
 
-def _corpus_alphabet():
-    # 300 CJK letters: more than fit in one byte
-    letters = [chr(0x4E00 + i) for i in range(300)]
-    words = ("".join(letters[(7 * i + j) % 300] for j in range(1 + i % 9)) for i in range(3000))
+def _corpus_alphabet(n=300):
+    # n CJK letters: more than fit in one byte
+    letters = [chr(0x4E00 + i) for i in range(n)]
+    words = ("".join(letters[(7 * i + j) % n] for j in range(1 + i % 9)) for i in range(3000))
     alphabet = estimate_from_corpus(" ".join(words))
-    assert alphabet.n == 300
+    assert alphabet.n == n
     return alphabet
 
 
@@ -154,6 +155,40 @@ class TestCounting:
     def test_matches_word_by_word_count(self, alphabet, count):
         got = _generate_stream(alphabet, count, np.random.default_rng(11), 10**8)
         assert got == _reference_counts(alphabet, count, 11)
+
+    @pytest.mark.parametrize(
+        "alphabet, count",
+        [
+            (make_gusein_zade(5, 0.18), 50_000),
+            (make_uniform(26, 0.037037), 10_000),
+            (make_gusein_zade(26, 0.1), 20_000),
+            (_corpus_alphabet(400), 20_000),  # two-byte letters, decoded as utf-32
+            (make_uniform(255, 0.2), 20_000),  # the most letters that fit in one byte
+            (make_uniform(256, 0.2), 20_000),
+            (make_uniform(70_000, 0.3), 10_000),  # keys of 3 letters; letters in D800-DFFF
+            (make_explicit((0.98, 0.01), 0.01), 3_000),  # keys of 39 letters, long runs of "a"
+        ],
+        ids=["gz5", "u26", "gz26", "corpus400", "u255", "u256", "u70000", "a98"],
+    )
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_matches_split_counting(self, alphabet, count, seed):
+        # the same draws counted one string per word: same entries, in code-point order
+        got = _generate_stream(alphabet, count, np.random.default_rng(seed), 10**8)
+        expected = split_counts(alphabet, count, np.random.default_rng(seed))
+        assert list(got.items()) == sorted(expected.items())
+        if alphabet.n == 70_000:
+            assert any("\ud800" <= ch <= "\udfff" for word in got for ch in word)
+        if alphabet.n == 2:  # keys that tie over three chunks; words of 39 and 40 letters
+            assert sum(word.startswith("\x01" * 117) for word in got) > 1
+            assert any(word[:39] in got for word in got if len(word) == 40)
+
+    @pytest.mark.parametrize(
+        "alphabet", [make_gusein_zade(5, 0.18), make_uniform(70_000, 0.3)], ids=["gz5", "u70000"]
+    )
+    def test_entries_in_code_point_order(self, alphabet):
+        # the order that makes the sort of each count's words in word_lines linear
+        words = list(generate_words(alphabet, 20_000, seed=3).entries)
+        assert words[0] == "" and words == sorted(words)
 
     @pytest.mark.parametrize(
         "block, alphabet",

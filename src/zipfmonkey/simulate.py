@@ -45,7 +45,7 @@ _BLOCK_CODES = 1 << 18  # code points (letters and separators) drawn at a time
 _MIN_BUCKETS, _MAX_BUCKETS = 1 << 10, 1 << 20  # guide table: 4 KiB to 4 MiB
 _RUN_SLICE = 8192  # words of one run rendered by one pass of string calls
 _KEY_WORDS = 1 << 15  # words keyed at a time
-_SLICE_WORDS = 1 << 10  # distinct words sliced into strings, or counted, at a time
+_SLICE_WORDS = 1 << 10  # distinct words sliced into strings at a time
 
 
 class FrequencyTable(NamedTuple):
@@ -159,7 +159,7 @@ def _prefix_keys(
         b, part = b[by], np.zeros(m.size, np.int64)
         live = m.size - np.bincount(m, minlength=k).cumsum()  # live[t]: words with a letter t
         for t, c in enumerate(live[:k].tolist()):
-            part[:c] += letters[b[:c] + t] * pows[t]
+            part[:c] += np.multiply(letters[b[:c] + t], pows[t], dtype=np.int64)
         keys[a + by] = part
     return keys
 
@@ -252,10 +252,7 @@ def _generate_stream(
         b, e = runs[1:, a : a + _SLICE_WORDS].tolist()
         words += [text[i:j] for i, j in zip(b, e)]
     del text
-    table: dict[Word, int] = {}
-    for a in range(0, len(words), _SLICE_WORDS):
-        table.update(zip(words[a : a + _SLICE_WORDS], runs[0, a : a + _SLICE_WORDS].tolist()))
-    return table
+    return dict(zip(words, runs[0].tolist()))
 
 
 def generate_words(

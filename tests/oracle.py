@@ -12,8 +12,6 @@ Two checks that no command needs live here too: p_of_rank reads the
 probability of a rank off the package's levels, for comparison with
 oracle_p_of_rank, and functional_equation_residual evaluates the
 functional equation of the counting function on the package's own walk.
-split_counts counts simulated words by hashing one string per draw, as the
-simulator did before it counted by sorting.
 """
 
 from __future__ import annotations
@@ -21,11 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from zipfmonkey import simulate
 from zipfmonkey.alphabet import Alphabet
 from zipfmonkey.errors import ResourceGuardError
 from zipfmonkey.gamma import WeightVector
@@ -163,32 +159,3 @@ def multinomial(k: Sequence[int]) -> int:
         total += ki
         out *= math.comb(total, ki)
     return out
-
-
-def split_counts(alphabet: Alphabet, count: int, rng) -> Counter[str]:
-    """The count words that simulate._generate_stream draws from rng (same RNG
-    calls and blocks), counted one string per word: each block's letters
-    are written through a mask into a zeroed code-point array (a 0 after
-    every word but the last), decoded as utf-32, split on the 0s and counted
-    by a Counter.  The empty words, which draw no letters, are counted from
-    the lengths.  Letter i is the code point i + 1."""
-    import numpy as np
-
-    p0 = alphabet.space_prob
-    lengths = rng.geometric(p0, size=count) - 1
-    draw_letters = simulate._letter_sampler(np.asarray(alphabet.letter_probs) / (1.0 - p0))
-    block_words = max(1, int(simulate._BLOCK_CODES * p0))
-    n_empty = count - int(np.count_nonzero(lengths))
-    counts = Counter({"": n_empty} if n_empty else ())
-    for start in range(0, count, block_words):
-        block = lengths[start : start + block_words]
-        block = block[block > 0]
-        if not block.size:
-            continue
-        letters = draw_letters(rng, int(block.sum()))
-        is_letter = np.ones(letters.size + block.size - 1, bool)
-        is_letter[np.cumsum(block[:-1] + 1) - 1] = False
-        codes = np.zeros(is_letter.size, "<u4")
-        codes[is_letter] = letters
-        counts.update(codes.tobytes().decode("utf-32-le", "surrogatepass").split("\0"))
-    return counts

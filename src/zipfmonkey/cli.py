@@ -397,8 +397,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
+    except (ResourceGuardError, MemoryError) as exc:
+        print(f"resource guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,15 +15,16 @@ word_count, seed) triple reproduces the same table within one build.
 Letter i is i + 1 from the draw to the output: one array holds every
 drawn letter, and a distinct word becomes a str in which letter i is the
 code point i + 1, so words sort like their letter-index tuples and the
-empty word is "".  Words are counted by sorting integer keys, not by
-hashing one string per draw, and the table lists "" first and then the
-words in code-point order.  Memory grows with the letters (one, two or
-four bytes each by the alphabet size, in the array and then in the string
-the distinct words are sliced from, both freed before the table's dict is
-built), the words (about 22 bytes each while they are sorted) and the
-distinct words.  Drawing is stated in _generate_stream and
-_letter_sampler, counting in _word_runs and _prefix_keys, ranking in
-empirical_rank_freq and RankFrequency, output in word_lines.
+empty word is "".  Words are counted by one sort of integer keys that
+carry each word's index, not by hashing one string per draw, and the
+table lists "" first and then the words in code-point order.  Memory
+grows with the letters (one, two or four bytes each by the alphabet
+size, in the array and then in the string the distinct words are sliced
+from, both freed before the table's dict is built), the words (about 22
+bytes each while they are sorted) and the distinct words.  Drawing is
+stated in _generate_stream and _letter_sampler, counting in _word_runs
+and _prefix_keys, ranking in empirical_rank_freq and RankFrequency,
+output in word_lines.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import ResourceGuardError
 Word = str  # letter i is chr(i + 1)
 
 DEFAULT_WORD_CAP = 10**8
+_MAX_WORDS = 1 << 42  # so a word index leaves _word_runs' keys a letter or more
 
 _BLOCK_CODES = 1 << 18  # code points (letters and separators) drawn at a time
 _MIN_BUCKETS, _MAX_BUCKETS = 1 << 10, 1 << 20  # guide table: 4 KiB to 4 MiB
@@ -169,24 +171,35 @@ def _word_runs(letters: np.ndarray, bounds: np.ndarray, base: int) -> np.ndarray
     (letters 1 .. base - 1), in code-point order ("" first): one (3, distinct)
     array whose rows are each word's count, start and end in letters.
 
-    Each word gets one int64 key, its first k letters in base `base`
-    (_prefix_keys), k the most digits with base**k <= 2**63.  One argsort
-    groups the keys; a run of equal keys whose words have k letters or more
-    is re-sorted by the next k letters, one chunk at a time, until each run
-    is one word.
+    Each word gets one int64 key: its first k0 letters in base `base`
+    (_prefix_keys) in the high bits and its index j in the low ib bits, ib
+    the bit length of the largest index (at least 1) and k0 the most digits
+    with base**k0 <= 2**(63 - ib).  One sort groups the keys, and their low
+    bits are the order; generate_words counts at most 2**42 words, so ib <=
+    42 and k0 >= 1 for every base up to sys.maxunicode + 1.  A run of equal
+    prefixes whose words have k0 letters or more is re-sorted by the next k
+    letters, k the most digits with base**k <= 2**63, one chunk at a time,
+    until each run is one word.  Equal keys keep their index order, so each
+    run's first word is the first drawn.
     """
     import numpy as np
 
+    ib = max(1, (bounds.size - 2).bit_length())
+    k0 = next(k for k in range(63, 0, -1) if base**k <= 1 << (63 - ib))
     k = next(k for k in range(63, 0, -1) if base**k <= 1 << 63)
-    keys = _prefix_keys(letters, bounds[:-1], bounds[1:], base, k)
-    order = keys.argsort()
+    keys = _prefix_keys(letters, bounds[:-1], bounds[1:], base, k0)
+    order = np.arange(keys.size, dtype=np.int64)
+    keys <<= ib
+    keys |= order
     keys.sort()
+    np.bitwise_and(keys, (1 << ib) - 1, out=order)
+    keys >>= ib
     new = np.ones(keys.size + 1, bool)  # new[p]: sorted position p starts a run; new[-1] ends one
     np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
     keys %= base
     long = keys.astype(bool)  # long[p]: the word has depth letters or more, so may tie with another
     del keys
-    depth = k
+    depth = k0
     while (tied := np.flatnonzero(long & ~(new[:-1] & new[1:]))).size:  # in runs of 2 or more
         words = order[tied]
         keys = _prefix_keys(letters, bounds[words] + depth, bounds[words + 1], base, k)
@@ -278,6 +291,10 @@ def generate_words(
         raise ResourceGuardError(
             f"word_count {word_count} exceeds the cap {word_cap}; "
             "raise ZIPFMONKEY_WORD_CAP to allow more"
+        )
+    if word_count > _MAX_WORDS:
+        raise ResourceGuardError(
+            f"word_count {word_count} exceeds {_MAX_WORDS}, the most one table counts"
         )
     if alphabet.n > sys.maxunicode:  # letter i is encoded as the code point i + 1
         raise ValueError(f"simulation allows at most {sys.maxunicode} letters, got {alphabet.n}")

@@ -903,6 +903,28 @@ class TestExitCodes:
         assert code == 3  # a resource guard, as the cap on letters is
         assert "ZIPFMONKEY_WORD_CAP" in err
 
+    def test_memory_error_is_a_resource_guard(self, tmp_path):
+        # 10**12 words pass the raised cap but not the allocation of their
+        # lengths; the address-space limit acts on the child alone
+        import resource
+
+        limit = 2 << 30
+        done = subprocess.run(
+            [sys.executable, "-m", "zipfmonkey.cli", "simulate", "--gusein-zade", "5",
+             "--p0", "0.18", "--n-words", str(10**12), "--seed", "1"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC, "ZIPFMONKEY_WORD_CAP": str(10**12)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (done.returncode, done.stdout) == (3, ""), done.stderr
+        assert done.stderr.startswith("resource guard: ")
+        assert done.stderr.count("\n") == 1
+
+    def test_memory_error_without_a_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "generate_words", mock.Mock(side_effect=MemoryError))
+        argv = ["simulate", "--uniform", "2", "--p0", "0.3", "--n-words", "100"]
+        assert run(capsys, *argv) == (3, "", "resource guard: out of memory\n")
+
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     @pytest.mark.parametrize(
         "variable, argv",

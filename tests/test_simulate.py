@@ -94,6 +94,11 @@ class TestGenerateWords:
             generate_words(make_uniform(2, 0.3), 0, seed=1)
         with pytest.raises(ResourceGuardError, match="ZIPFMONKEY_WORD_CAP"):
             generate_words(make_uniform(2, 0.3), 10**9 + 1, seed=1, word_cap=10**9)
+        # 2**42 word indices leave a key room for a letter of any base up to
+        # sys.maxunicode + 1; more words are refused before any is drawn
+        assert _key_widths(sys.maxunicode + 1, 2**42)[0] == 1
+        with pytest.raises(ResourceGuardError, match=str(2**42)):
+            generate_words(make_uniform(2, 0.3), 2**42 + 1, seed=1, word_cap=2**50)
 
 
 def _corpus_alphabet(n=300):
@@ -127,6 +132,34 @@ def _codes_for(words, p0):
     return codes
 
 
+def _key_widths(base, count):
+    """_word_runs' letters per key: k0 beside count word indices, k in a tie round."""
+    ib = max(1, (count - 1).bit_length())
+    k0 = max(k for k in range(1, 64) if base**k <= 2 ** (63 - ib))
+    return k0, max(k for k in range(1, 64) if base**k <= 2**63)
+
+
+def _counted_runs(words, base):
+    """_word_runs on the given words (tuples of letters 1 .. base - 1), as
+    (word, count, first index) rows; the first index is the word whose
+    letters the run's row points at."""
+    letters = np.array([c for word in words for c in word], np.min_scalar_type(base - 1))
+    bounds = np.zeros(len(words) + 1, np.int32)
+    np.cumsum([len(word) for word in words], out=bounds[1:])
+    count, start, end = simulate._word_runs(letters, bounds, base).tolist()
+    first = {}
+    for j, span in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+        first.setdefault(span, j)
+    return [(tuple(letters[b:e].tolist()), c, first[b, e]) for c, b, e in zip(count, start, end)]
+
+
+def _expected_runs(words):
+    first = {}
+    for j, word in enumerate(words):
+        first.setdefault(word, j)
+    return [(word, c, first[word]) for word, c in sorted(Counter(words).items())]
+
+
 class _RecordingRng:
     """A seeded Generator that records how many letters each random call draws."""
 
@@ -155,7 +188,7 @@ class TestCounting:
             pytest.param(make_uniform(255, 0.2), 20_000, id="u255"),  # most letters in one byte
             pytest.param(make_uniform(256, 0.2), 20_000, id="u256"),
             pytest.param(make_uniform(70_000, 0.3), 10_000, id="u70000"),  # keys of 3 letters
-            pytest.param(make_explicit((0.98, 0.01), 0.01), 3_000, id="a98"),  # keys of 39 letters
+            pytest.param(make_explicit((0.98, 0.01), 0.01), 3_000, id="a98"),  # long tie rounds
         ],
     )
     def test_matches_word_by_word_count(self, alphabet, count):
@@ -165,9 +198,32 @@ class TestCounting:
             assert list(got.items()) == sorted(_reference_counts(alphabet, count, seed).items())
             if alphabet.n == 70_000:  # letters in D800-DFFF
                 assert any("\ud800" <= ch <= "\udfff" for word in got for ch in word)
-            if alphabet.letter_probs == (0.98, 0.01):  # ties over three chunks; 39 and 40 letters
-                assert sum(word.startswith("\x01" * 117) for word in got) > 1
-                assert any(word[:39] in got for word in got if len(word) == 40)
+            if alphabet.letter_probs == (0.98, 0.01):  # a third tie round; k0 and k0 + 1 letters
+                k0, k = _key_widths(3, count)
+                assert sum(word.startswith("\x01" * (k0 + 2 * k)) for word in got) > 1
+                assert any(word[:k0] in got for word in got if len(word) == k0 + 1)
+
+    def test_one_word(self):
+        assert _counted_runs([()], 6) == [((), 1, 0)]
+        assert _counted_runs([(5, 1)], 6) == [((5, 1), 1, 0)]
+
+    @pytest.mark.parametrize("base", [3, 6, 27, 257, sys.maxunicode + 1])
+    def test_key_packing_edges(self, base):
+        # 2**m and 2**m + 1 words: the index takes one more bit and k0 one
+        # letter less; words of k0 - 1 to k0 + 1 letters share their first
+        # letters, tie at the first pass and are parted in the tie rounds
+        m = next(m for m in range(1, 13) if _key_widths(base, 2**m) != _key_widths(base, 2**m + 1))
+        rng = np.random.default_rng(base)
+        for count in (2**m, 2**m + 1):
+            k0, k = _key_widths(base, count)
+            stem = tuple(rng.integers(1, base, k0 + k + 2).tolist())
+            pool = [stem[:n] for n in (0, 1, k0 - 1, k0, k0 + 1, k0 + k, k0 + k + 1)]
+            pool += [stem[:k0] + (c,) for c in (1, base - 1)]
+            pool += [stem[: k0 - 1] + (c,) for c in (1, base - 1)]
+            pool += [tuple(rng.integers(1, base, n).tolist()) for n in (1, 2, k0, k0 + 1)]
+            words = [pool[i] for i in rng.integers(0, len(pool), count)]
+            assert _counted_runs(words, base) == _expected_runs(words)
+        assert _key_widths(base, 2**m)[0] == _key_widths(base, 2**m + 1)[0] + 1
 
     @pytest.mark.parametrize(
         "alphabet", [make_gusein_zade(5, 0.18), make_uniform(70_000, 0.3)], ids=["gz5", "u70000"]

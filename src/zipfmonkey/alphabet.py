@@ -211,6 +211,7 @@ def to_text(alphabet: Alphabet) -> str:
 
 
 def loads(text: str) -> Alphabet:
+    text = text.removeprefix("\ufeff")  # a byte-order mark is not part of the first label
     p0 = None
     labels: list[str] = []
     probs: list[float] = []

@@ -136,11 +136,8 @@ def _cmd_levels(args) -> tuple[int, Lines]:
         try:
             for weight, lo, hi, log_prob in levels:
                 yield f"{lo}\t{hi}\t{log_prob / ln10!r}\t{weight!r}\t{hi - lo + 1}"
-        except ResourceGuardError:  # raised in place of the partial level
-            yield (
-                f"# truncated: node budget {args.node_budget} reached, trailing level "
-                "dropped; raise ZIPFMONKEY_NODE_BUDGET to allow more"
-            )
+        except ResourceGuardError as exc:  # raised in place of the partial level
+            yield f"# truncated: {exc}"
 
     header = ["# format: v1 levels", "# columns: rank_lo\trank_hi\tlog10_prob\tweight\tcount"]
     return EXIT_OK, chain(header, rows())

@@ -136,7 +136,7 @@ def _grid(weights: Sequence[float]) -> _Grid:
 def _over_budget(budget: int, weight: float) -> ResourceGuardError:
     return ResourceGuardError(
         f"node budget {budget} exhausted at weight {weight:.6g}; "
-        "raise ZIPFMONKEY_NODE_BUDGET to allow more"
+        "raise the node_budget argument or ZIPFMONKEY_NODE_BUDGET to allow more"
     )
 
 

@@ -22,7 +22,7 @@ grows with the letters (one, two or four bytes each by the alphabet
 size, in the array and then in the string the distinct words are sliced
 from, both freed before the table's dict is built), the words (about 22
 bytes each while they are sorted) and the distinct words.  Drawing is
-stated in _generate_stream and _letter_sampler, counting in _word_runs
+stated in _generate_stream and _draw_letters, counting in _word_runs
 and _prefix_keys, ranking in empirical_rank_freq and RankFrequency,
 output in word_lines.
 """
@@ -33,7 +33,7 @@ import math
 import sys
 from collections import Counter, defaultdict
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .alphabet import EMPTY_WORD, Alphabet
 from .errors import ResourceGuardError
@@ -43,7 +43,7 @@ Word = str  # letter i is chr(i + 1)
 DEFAULT_WORD_CAP = 10**8
 _MAX_WORDS = 1 << 42  # so a word index leaves _word_runs' keys a letter or more
 
-_BLOCK_CODES = 1 << 18  # code points (letters and separators) drawn at a time
+_BLOCK_LETTERS = 1 << 18  # letters drawn at a time
 _MIN_BUCKETS, _MAX_BUCKETS = 1 << 10, 1 << 20  # guide table: 4 KiB to 4 MiB
 _RUN_SLICE = 8192  # words of one run rendered by one pass of string calls
 _KEY_WORDS = 1 << 15  # words keyed at a time
@@ -95,7 +95,7 @@ def expand_runs(runs, r_min=-math.inf, r_max=math.inf) -> Iterator[tuple[int, fl
 
 
 def _guide_table(cdf: np.ndarray, n_buckets: int) -> np.ndarray:
-    """_letter_sampler's table ("<u4"): bucket b of M = n_buckets holds lo + 1,
+    """_draw_letters' table ("<u4"): bucket b of M = n_buckets holds lo + 1,
     lo the number of steps cdf[i] <= b/M, or 0 if a step lies inside
     (b/M, (b+1)/M).  cdf * M is exact (M a power of two), so lo counts the
     steps with ceil(cdf[i] * M) <= b (one bincount), and a step off the
@@ -109,10 +109,10 @@ def _guide_table(cdf: np.ndarray, n_buckets: int) -> np.ndarray:
     return guide
 
 
-def _letter_sampler(probs: np.ndarray) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """draw(rng, size): the code points (letter i as i + 1, "<u4") of the
-    size letters Generator.choice(len(probs), size, p=probs) would draw from
-    rng, read off the same rng.random(size) doubles.
+def _draw_letters(probs: np.ndarray, rng: np.random.Generator, size: int, dtype) -> np.ndarray:
+    """The size letters Generator.choice(len(probs), size, p=probs) would
+    draw from rng, as code points (letter i as i + 1) in an array of dtype,
+    read off the same doubles: rng.random, _BLOCK_LETTERS at a time.
 
     choice takes cdf = probs.cumsum(), cdf /= cdf[-1], and draws letter
     cdf.searchsorted(u, "right"), the number of steps cdf[i] <= u.  The
@@ -130,15 +130,14 @@ def _letter_sampler(probs: np.ndarray) -> Callable[[np.random.Generator, int], n
     cdf /= cdf[-1]
     n_buckets = min(max(1 << (64 * probs.size - 1).bit_length(), _MIN_BUCKETS), _MAX_BUCKETS)
     guide = _guide_table(cdf, n_buckets)
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        letters = guide[(u * n_buckets).astype(np.intp)]
-        odd = np.flatnonzero(letters == 0)
-        letters[odd] = cdf.searchsorted(u[odd], "right") + 1
-        return letters
-
-    return draw
+    letters = np.empty(size, dtype)
+    for a in range(0, size, _BLOCK_LETTERS):
+        u = rng.random(min(_BLOCK_LETTERS, size - a))
+        block = guide[(u * n_buckets).astype(np.intp)]
+        odd = np.flatnonzero(block == 0)
+        block[odd] = cdf.searchsorted(u[odd], "right") + 1
+        letters[a : a + u.size] = block
+    return letters
 
 
 def _prefix_keys(
@@ -222,11 +221,7 @@ def _generate_stream(
     code-point order.
 
     The RNG stream is the one geometric and Generator.choice(p=...) draw:
-    all word lengths, then the letters about _BLOCK_CODES code points at a
-    time (_letter_sampler reads the doubles choice would read and picks the
-    letters choice would pick).  A word is 1/p0 code points on average (its
-    letters and a separator), so a block is _BLOCK_CODES * p0 words whatever
-    p0 is.
+    all word lengths, then every letter in order (_draw_letters).
 
     The words are counted by sorting, not hashing (_word_runs): all letters
     go to one array of the smallest unsigned dtype that holds n, and each
@@ -241,18 +236,14 @@ def _generate_stream(
     if n_letters > word_cap:
         raise ResourceGuardError(
             f"{n_letters} letters to draw exceed the cap {word_cap}; "
-            "raise ZIPFMONKEY_WORD_CAP to allow more"
+            "raise the word_cap argument or ZIPFMONKEY_WORD_CAP to allow more"
         )
     pos = np.int32 if max(n_letters, count) < 1 << 30 else np.int64  # a letter offset or a count
     bounds = np.zeros(count + 1, pos)  # word j is letters[bounds[j] : bounds[j + 1]]
     np.cumsum(lengths, out=bounds[1:])
     del lengths
-    draw_letters = _letter_sampler(np.asarray(alphabet.letter_probs) / (1.0 - p0))
-    letters = np.empty(n_letters, np.min_scalar_type(alphabet.n))
-    edges = bounds[np.r_[0 : count : max(1, int(_BLOCK_CODES * p0)), count]].tolist()
-    for a, b in zip(edges, edges[1:]):
-        if b > a:  # a block of empty words draws nothing
-            letters[a:b] = draw_letters(rng, b - a)
+    probs = np.asarray(alphabet.letter_probs) / (1.0 - p0)
+    letters = _draw_letters(probs, rng, n_letters, np.min_scalar_type(alphabet.n))
     runs = _word_runs(letters, bounds, alphabet.n + 1)
     del bounds
     if letters.itemsize == 1:
@@ -290,7 +281,7 @@ def generate_words(
     if word_count > word_cap:
         raise ResourceGuardError(
             f"word_count {word_count} exceeds the cap {word_cap}; "
-            "raise ZIPFMONKEY_WORD_CAP to allow more"
+            "raise the word_cap argument or ZIPFMONKEY_WORD_CAP to allow more"
         )
     if word_count > _MAX_WORDS:
         raise ResourceGuardError(

@@ -261,7 +261,18 @@ def src_code_lines():
 def test_src_code_lines_are_pinned():
     # a change to src/ states its size in the same diff: less code, or the
     # capability that pays for more
-    assert src_code_lines() == 1098
+    assert src_code_lines() == 1093
+
+
+def test_only_the_cli_reads_the_environment():
+    # the two ZIPFMONKEY_* limits are read once, in cli.main; the library
+    # takes them as its node_budget and word_cap arguments (reading the
+    # environment on each call was measured slower; see ROADMAP)
+    readers = [path.name for path in sorted((ROOT / "src" / "zipfmonkey").glob("*.py"))
+               if names_in(path.read_text(encoding="utf-8")) & {"environ", "getenv"}]
+    assert readers == ["cli.py"]
+    # either spelling is found, imported or as an attribute
+    assert {"getenv", "environ"} <= names_in("from os import getenv\nos.environ.get('X')")
 
 
 def test_version_matches_pyproject():

@@ -8,6 +8,7 @@ import io
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -35,7 +36,7 @@ from zipfmonkey import cli as cli_mod
 from zipfmonkey import fit as fit_mod
 from zipfmonkey import simulate
 from zipfmonkey.cli import main
-from zipfmonkey.errors import BoundViolationError, quote
+from zipfmonkey.errors import BoundViolationError, ResourceGuardError, quote
 
 
 def run(capsys, *argv):
@@ -100,6 +101,16 @@ class TestGammaCommand:
         code, out, _ = run(capsys, "gamma", "--alphabet", str(path))
         assert code == 0
         assert float(kv(out)["gamma"]) == pytest.approx(0.7271601514124259, abs=1e-10)
+
+    def test_alphabet_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        # as some editors save UTF-8: the mark once read as part of "space"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text("space 0.2\na 0.5\nb 0.3\n", encoding="utf-8")
+        marked.write_text("space 0.2\na 0.5\nb 0.3\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfspace")
+        expected = run(capsys, "gamma", "--alphabet", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "gamma", "--alphabet", str(marked)) == expected
 
     def test_json_alphabet_file(self, capsys, tmp_path):
         # an alphabet file is text; a JSON one fails on its first line
@@ -227,8 +238,14 @@ def rendered_levels(al, options, budget):
         for lv in levels
     ]
     if table.truncated:
-        rows.append(f"# truncated: node budget {budget} reached, trailing level dropped; "
-                    "raise ZIPFMONKEY_NODE_BUDGET to allow more")
+        # the walk's own guard message, which names the weight past the last level
+        with pytest.raises(ResourceGuardError) as guard:
+            list(cli_mod.pyramid.level_rows(al, node_budget=budget, **bound))
+        (weight,) = re.fullmatch(
+            rf"node budget {budget} exhausted at weight (\S+); raise the node_budget "
+            "argument or ZIPFMONKEY_NODE_BUDGET to allow more", str(guard.value)).groups()
+        assert float(weight) >= levels[-1].weight
+        rows.append(f"# truncated: {guard.value}")
     return rows, table.truncated
 
 

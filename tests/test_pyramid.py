@@ -447,7 +447,7 @@ class TestWeightCache:
             rank_of_probability(al, 1e-9, node_budget=1000)
         assert str(exc.value) == (
             "node budget 1000 exhausted at weight 19.0085; "
-            "raise ZIPFMONKEY_NODE_BUDGET to allow more"
+            "raise the node_budget argument or ZIPFMONKEY_NODE_BUDGET to allow more"
         )
         assert rank_of_probability(al, 1e-9) == 11806299  # the trip left the cache sound
 

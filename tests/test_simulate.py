@@ -125,13 +125,6 @@ def _reference_counts(alphabet, count, seed):
     return counts
 
 
-def _codes_for(words, p0):
-    """A _BLOCK_CODES value that makes blocks of the given number of words."""
-    codes = math.ceil(words / p0)
-    assert max(1, int(codes * p0)) == words
-    return codes
-
-
 def _key_widths(base, count):
     """_word_runs' letters per key: k0 beside count word indices, k in a tie round."""
     ib = max(1, (count - 1).bit_length())
@@ -235,34 +228,20 @@ class TestCounting:
 
     @pytest.mark.parametrize(
         "block, alphabet",
-        [(block, make_gusein_zade(5, 0.18)) for block in (1, 7, 1000, 5000)]
-        + [(block, make_uniform(2, 0.9)) for block in (1, 7, 1000)],
-        ids=["1", "7", "1000", "5000", "u2-1", "u2-7", "u2-1000"],
+        [(block, make_gusein_zade(5, 0.18)) for block in (1, 7, 1000, 2**18)]
+        + [(block, make_uniform(2, 0.9)) for block in (1, 7, 1000, 2**18)],
+        ids=["1", "7", "1000", "262144", "u2-1", "u2-7", "u2-1000", "u2-262144"],
     )
     def test_counting_blocks_do_not_change_counts(self, monkeypatch, block, alphabet):
-        # 5000 words: ragged last block, whole blocks, and one block; u2's
-        # mostly empty words give blocks that draw no letter
-        monkeypatch.setattr(simulate, "_BLOCK_CODES", _codes_for(block, alphabet.space_prob))
-        got = _generate_stream(alphabet, 5000, np.random.default_rng(11), 10**8)
-        assert got == _reference_counts(alphabet, 5000, 11)
-
-    def test_each_draw_holds_one_block_of_letters(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_BLOCK_CODES", _codes_for(700, 0.18))
-        alphabet = make_gusein_zade(5, 0.18)
+        # 5000 words: full blocks and a ragged last one, or one block (u2's
+        # mostly empty words hold 524 letters)
+        monkeypatch.setattr(simulate, "_BLOCK_LETTERS", block)
         rng = _RecordingRng(11)
         got = _generate_stream(alphabet, 5000, rng, 10**8)
-        lengths = np.random.default_rng(11).geometric(0.18, size=5000) - 1
-        assert rng.sizes == [int(lengths[i : i + 700].sum()) for i in range(0, 5000, 700)]
         assert got == _reference_counts(alphabet, 5000, 11)
-
-    def test_blocks_hold_a_fixed_number_of_code_points(self):
-        # a word is 1/p0 code points on average, so a block is 2**18 * p0 words
-        alphabet, block = make_uniform(2, 0.01), int(2**18 * 0.01)
-        rng = _RecordingRng(11)
-        got = _generate_stream(alphabet, 6000, rng, 10**8)
-        lengths = np.random.default_rng(11).geometric(0.01, size=6000) - 1
-        assert rng.sizes == [int(lengths[i : i + block].sum()) for i in range(0, 6000, block)]
-        assert got == _reference_counts(alphabet, 6000, 11)
+        lengths = np.random.default_rng(11).geometric(alphabet.space_prob, size=5000) - 1
+        full, rest = divmod(int(lengths.sum()), block)
+        assert rng.sizes == [block] * full + [rest] * (rest > 0)
 
     @pytest.mark.parametrize(
         "streams, digest",
@@ -367,14 +346,16 @@ def _dyadic(k):
 
 
 class _FixedDoubles:
-    """A stand-in Generator whose random(size) returns the given doubles."""
+    """A stand-in Generator whose random(size) returns the next size of the
+    given doubles."""
 
     def __init__(self, u):
-        self.u = u
+        self.u, self.used = u, 0
 
     def random(self, size):
-        assert size == self.u.size
-        return self.u.copy()
+        self.used += size
+        assert self.used <= self.u.size
+        return self.u[self.used - size : self.used].copy()
 
 
 def _hard_doubles(cdf):
@@ -391,12 +372,11 @@ def _hard_doubles(cdf):
 
 
 class TestLetterSampler:
-    """_letter_sampler draws the letters Generator.choice(p=...) draws."""
+    """_draw_letters draws the letters Generator.choice(p=...) draws."""
 
     def _check(self, probs, seed, size):
-        draw = simulate._letter_sampler(probs)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = draw(rng, size)
+        got = simulate._draw_letters(probs, rng, size, np.dtype("<u4"))
         assert got.dtype == np.dtype("<u4")
         np.testing.assert_array_equal(got, ref.choice(probs.size, size=size, p=probs) + 1)
         assert rng.bit_generator.state == ref.bit_generator.state  # the same doubles consumed
@@ -406,7 +386,10 @@ class TestLetterSampler:
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         u = _hard_doubles(cdf)
-        np.testing.assert_array_equal(draw(_FixedDoubles(u), u.size), cdf.searchsorted(u, "right") + 1)
+        doubles = _FixedDoubles(u)
+        got = simulate._draw_letters(probs, doubles, u.size, np.dtype("<u4"))
+        np.testing.assert_array_equal(got, cdf.searchsorted(u, "right") + 1)
+        assert doubles.used == u.size
 
     @pytest.mark.parametrize(
         "alphabet, size",
@@ -451,10 +434,9 @@ class TestLetterSampler:
         self._check(probs, seed, 3000)
 
     def test_a_block_of_no_letters_draws_nothing(self):
-        # u2 at p0 0.9 gives blocks of empty words (see TestCounting)
-        draw = simulate._letter_sampler(_conditional(make_uniform(2, 0.9)))
+        # zero letters draw nothing and consume no double
         rng, ref = np.random.default_rng(1), np.random.default_rng(1)
-        got = draw(rng, 0)
+        got = simulate._draw_letters(_conditional(make_uniform(2, 0.9)), rng, 0, np.dtype("<u4"))
         assert got.dtype == np.dtype("<u4") and got.size == 0
         assert rng.bit_generator.state == ref.bit_generator.state
 
